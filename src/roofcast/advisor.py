@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .core import HardwareSpec, PartitionConfig, ResourceAllocation, allocation_of
+from .core import HardwareSpec, PartitionConfig, ResourceAllocation
 from .errors import ConfigError, ValidationError
 from .ingest import QueryProfile, aggregate
-from .concurrency import WorkloadSpec, _instance_mean_times, estimate_qps
-from .scaling import Confidence, slowdown_unified
+from .concurrency import WorkloadSpec, instance_means, instance_times
+from .scaling import slowdown_unified
 
 
 class Objective(enum.Enum):
@@ -34,7 +34,6 @@ class WhatIfRow:
     predicted_qps: float
     predicted_mean_latency: float
     resource_fraction_used: float
-    confidence_flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -43,7 +42,8 @@ class WhatIfRow:
             "predicted_qps": self.predicted_qps,
             "predicted_mean_latency_s": self.predicted_mean_latency,
             "resource_fraction_used": self.resource_fraction_used,
-            "confidence_flags": list(self.confidence_flags),
+            # Always empty: PartitionConfig rules out oversubscribed or upsized slices.
+            "confidence_flags": [],
         }
 
 
@@ -69,30 +69,13 @@ def enumerate_configs(hw: HardwareSpec) -> list[PartitionConfig]:
 
 def _evaluate_config(w: WorkloadSpec, hw: HardwareSpec,
                      config: PartitionConfig) -> WhatIfRow:
-    doc = len(config.instances)
-    scoped = replace(w, doc=doc)
-    qps = estimate_qps(scoped, hw, config)
-    means = _instance_mean_times(scoped, hw, config)
-    mean_latency = sum(means) / doc
-    sums = config.resource_sums()
-    flags = set()
-    budgeted = (("compute_fraction",) if config.shared_memory
-                else tuple(sums.keys()))
-    if any(sums[field] > 1.0 + 1e-9 for field in budgeted):
-        flags.add("infeasible-allocation")
-    for inst in config.instances:
-        alloc = allocation_of(inst)
-        for profile, _ in w.queries:
-            metrics = aggregate(profile, hw)
-            pred = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
-            if pred.confidence is Confidence.LOW_UPSIZE_MEMORY:
-                flags.add("low-upsize-memory")
+    scoped = replace(w, doc=len(config.instances))
+    means = instance_means(scoped, instance_times(scoped, hw, config))
     return WhatIfRow(
         config=config,
-        predicted_qps=qps,
-        predicted_mean_latency=mean_latency,
-        resource_fraction_used=max(sums.values()),
-        confidence_flags=tuple(sorted(flags)),
+        predicted_qps=sum(1.0 / mean for mean in means),
+        predicted_mean_latency=sum(means) / scoped.doc,
+        resource_fraction_used=max(config.resource_sums().values()),
     )
 
 

@@ -329,8 +329,7 @@ def cmd_advise(args) -> int:
             lines.append(
                 f"{row.config.name:<28} {len(row.config.instances):>3} "
                 f"{row.predicted_qps:>12.4g} {row.predicted_mean_latency:>12.4g} "
-                f"{row.resource_fraction_used:>6.4g}  "
-                f"{','.join(row.confidence_flags) or '-'}")
+                f"{row.resource_fraction_used:>6.4g}  -")
         text = "\n".join(lines) + "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")

@@ -10,6 +10,7 @@ rates, and a seeded discrete-event simulation of a randomized dispatcher.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -17,11 +18,13 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .core import (
+    SUM_EPS,
     HardwareSpec,
     PartitionConfig,
     PartitionInstance,
     ResourceAllocation,
     allocation_of,
+    fraction_sums,
 )
 from .errors import InfeasibleAllocationWarning, SchemaError, ValidationError
 from .ingest import QueryProfile, aggregate, profile_from_dict, read_profile_json
@@ -57,10 +60,13 @@ class WorkloadSpec:
     def __post_init__(self):
         if not self.queries:
             raise ValidationError("workload needs at least one query")
-        if any(w <= 0 for _, w in self.queries):
-            raise ValidationError("query weights must be > 0")
+        for i, (_, w) in enumerate(self.queries):
+            if not (math.isfinite(w) and w > 0):
+                raise ValidationError(
+                    f"queries[{i}].weight must be finite and > 0, got {w}")
         if self.doc < 1:
-            raise ValidationError(f"degree of concurrency must be >= 1, got {self.doc}")
+            raise ValidationError(
+                f"doc (degree of concurrency) must be >= 1, got {self.doc}")
         if self.dispatch_count < 1:
             raise ValidationError(
                 f"dispatch_count must be >= 1, got {self.dispatch_count}")
@@ -90,25 +96,16 @@ def exec_time_process(plan: ProcessPlan, hw: HardwareSpec) -> float:
     return one_time + plan.repetitions * per_rep
 
 
-def _check_feasible(allocations: Sequence[ResourceAllocation]) -> None:
-    sums = {
-        "compute_fraction": sum(a.compute_fraction for a in allocations),
-        "dram_bw_fraction": sum(a.dram_bw_fraction for a in allocations),
-        "l2_bw_fraction": sum(a.l2_bw_fraction for a in allocations),
-        "mem_capacity_fraction": sum(a.mem_capacity_fraction for a in allocations),
-    }
-    over = {k: v for k, v in sums.items() if v > 1.0 + 1e-9}
-    if over:
-        warnings.warn(
-            f"concurrent plans oversubscribe the GPU: {over}",
-            InfeasibleAllocationWarning, stacklevel=3)
-
-
 def exec_time_concurrent(plans: Sequence[ProcessPlan], hw: HardwareSpec) -> float:
     """End-to-end time of concurrent processes: the longest one decides."""
     if not plans:
         raise ValidationError("exec_time_concurrent needs at least one plan")
-    _check_feasible([p.allocation for p in plans])
+    sums = fraction_sums([p.allocation for p in plans])
+    over = {k: v for k, v in sums.items() if v > 1.0 + SUM_EPS}
+    if over:
+        warnings.warn(
+            f"concurrent plans oversubscribe the GPU: {over}",
+            InfeasibleAllocationWarning, stacklevel=2)
     return max(exec_time_process(p, hw) for p in plans)
 
 
@@ -117,19 +114,29 @@ def exec_time_concurrent(plans: Sequence[ProcessPlan], hw: HardwareSpec) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _instance_mean_times(w: WorkloadSpec, hw: HardwareSpec,
-                         config: PartitionConfig) -> list[float]:
-    """Weighted mean warm per-query time on each instance of the config."""
+def instance_times(w: WorkloadSpec, hw: HardwareSpec,
+                   config: PartitionConfig) -> list[list[float]]:
+    """Warm per-query time on each instance: one row per instance, in
+    instance order, one column per query, in query order.
+
+    The estimator, the simulator and the advisor all read this one table.
+    """
     if len(config.instances) != w.doc:
         raise ValidationError(
             f"config {config.name!r} has {len(config.instances)} instances "
             f"but workload degree of concurrency is {w.doc}")
-    means = []
+    table = []
     for inst in config.instances:
         alloc = allocation_of(inst)
-        means.append(sum(weight * warm_query_time(profile, hw, alloc)
-                         for profile, weight in w.queries))
-    return means
+        table.append([warm_query_time(profile, hw, alloc)
+                      for profile, _ in w.queries])
+    return table
+
+
+def instance_means(w: WorkloadSpec, table: list[list[float]]) -> list[float]:
+    """Weighted mean warm per-query time of each row of an instance table."""
+    return [sum(weight * t for (_, weight), t in zip(w.queries, row))
+            for row in table]
 
 
 def estimate_qps(w: WorkloadSpec, hw: HardwareSpec,
@@ -139,7 +146,8 @@ def estimate_qps(w: WorkloadSpec, hw: HardwareSpec,
     Each instance is a sequential server in steady state, so its rate is
     the reciprocal of its mean per-query time; cold costs amortize away.
     """
-    return sum(1.0 / mean for mean in _instance_mean_times(w, hw, config))
+    means = instance_means(w, instance_times(w, hw, config))
+    return sum(1.0 / mean for mean in means)
 
 
 def simulate_dispatch(w: WorkloadSpec, hw: HardwareSpec,
@@ -154,15 +162,7 @@ def simulate_dispatch(w: WorkloadSpec, hw: HardwareSpec,
     per-query times the estimator uses. Returns dispatch_count / makespan.
     Identical (workload, seed, config) inputs give identical results.
     """
-    if len(config.instances) != w.doc:
-        raise ValidationError(
-            f"config {config.name!r} has {len(config.instances)} instances "
-            f"but workload degree of concurrency is {w.doc}")
-    per_instance_times: list[list[float]] = []
-    for inst in config.instances:
-        alloc = allocation_of(inst)
-        per_instance_times.append(
-            [warm_query_time(profile, hw, alloc) for profile, _ in w.queries])
+    per_instance_times = instance_times(w, hw, config)
     rng = random.Random(w.seed)
     weights = [weight for _, weight in w.queries]
     choices = rng.choices(range(len(w.queries)), weights=weights,
@@ -220,6 +220,16 @@ def equal_split_config(doc: int, mps: bool = False) -> PartitionConfig:
 _WORKLOAD_KEYS = {"schema_version", "queries", "doc", "dispatch_count", "seed"}
 
 
+def _coerce(value, cast, field: str):
+    """cast(value), with a type or parse error reported against the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(
+            f"workload document: {field} must be a number, got {value!r}"
+        ) from None
+
+
 def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSpec:
     """Build a WorkloadSpec; query profiles may be inline or file paths."""
     if not isinstance(doc, Mapping):
@@ -234,8 +244,12 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSp
         raise SchemaError(
             f"workload document: unsupported schema_version "
             f"{doc['schema_version']!r}")
+    if not isinstance(doc["queries"], list):
+        raise SchemaError("workload document: queries must be a list")
     queries = []
     for i, entry in enumerate(doc["queries"]):
+        if not isinstance(entry, Mapping):
+            raise SchemaError(f"queries[{i}] must be a mapping")
         unknown = set(entry) - {"profile", "weight"}
         if unknown:
             raise SchemaError(f"queries[{i}]: unknown keys {sorted(unknown)}")
@@ -250,12 +264,14 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSp
         else:
             raise SchemaError(
                 f"queries[{i}].profile must be a path or an inline profile")
-        queries.append((profile, float(entry.get("weight", 1.0))))
+        weight = _coerce(entry.get("weight", 1.0), float, f"queries[{i}].weight")
+        queries.append((profile, weight))
     return WorkloadSpec(
         queries=tuple(queries),
-        doc=int(doc["doc"]),
-        dispatch_count=int(doc.get("dispatch_count", 1000)),
-        seed=int(doc.get("seed", 0)),
+        doc=_coerce(doc["doc"], int, "doc"),
+        dispatch_count=_coerce(doc.get("dispatch_count", 1000), int,
+                               "dispatch_count"),
+        seed=_coerce(doc.get("seed", 0), int, "seed"),
     )
 
 

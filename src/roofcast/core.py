@@ -8,11 +8,10 @@ so the model equations never touch unit conversions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import yaml
 
@@ -78,10 +77,15 @@ class PartitionInstance:
 
 # Float tolerance for "fractions sum to at most the whole GPU" checks;
 # catalogs expressed as repeating decimals (e.g. 3 * 1/3) must not be rejected.
-_SUM_EPS = 1e-9
+SUM_EPS = 1e-9
 
 _RESOURCE_FIELDS = ("compute_fraction", "dram_bw_fraction",
                     "l2_bw_fraction", "mem_capacity_fraction")
+
+
+def fraction_sums(shares: Sequence) -> dict[str, float]:
+    """Per-resource totals across partition instances or allocations."""
+    return {f: sum(getattr(s, f) for s in shares) for f in _RESOURCE_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,18 @@ class PartitionConfig:
         if not self.instances:
             raise ValidationError(f"partition config {self.name!r} has no instances")
         object.__setattr__(self, "instances", tuple(self.instances))
+        sums = self.resource_sums()
         checked = (("compute_fraction",) if self.shared_memory
                    else _RESOURCE_FIELDS)
         for field in checked:
-            total = sum(getattr(inst, field) for inst in self.instances)
-            if total > 1.0 + _SUM_EPS:
+            if sums[field] > 1.0 + SUM_EPS:
                 raise ValidationError(
                     f"partition config {self.name!r}: {field} sums to "
-                    f"{total:.6f} > 1.0 across instances")
+                    f"{sums[field]:.6f} > 1.0 across instances")
 
     def resource_sums(self) -> dict[str, float]:
         """Per-resource totals across instances, keyed by fraction field."""
-        return {f: sum(getattr(i, f) for i in self.instances)
-                for f in _RESOURCE_FIELDS}
+        return fraction_sums(self.instances)
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,6 @@ class HardwareSpec:
             raise ValidationError(
                 f"l2_request_bytes must be a power of two, got {self.l2_request_bytes}")
         object.__setattr__(self, "mig_catalog", tuple(self.mig_catalog))
-
-    def with_catalog(self, catalog: tuple[PartitionConfig, ...]) -> "HardwareSpec":
-        return replace(self, mig_catalog=tuple(catalog))
 
 
 def full_allocation() -> ResourceAllocation:
@@ -297,9 +297,3 @@ def default_hardware_spec() -> HardwareSpec:
     with resources.as_file(ref) as path:
         return load_hardware_spec(path)
 
-
-def knee_ai(compute_bw: float, mem_bw: float) -> float:
-    """Arithmetic intensity where the memory slope meets the compute ceiling."""
-    if mem_bw <= 0 or not math.isfinite(mem_bw):
-        raise ValidationError(f"mem_bw must be positive and finite, got {mem_bw}")
-    return compute_bw / mem_bw

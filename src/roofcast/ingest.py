@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 from .core import HardwareSpec
@@ -417,6 +417,3 @@ def read_profile_json(text: str) -> QueryProfile:
         raise ParseError(f"invalid profile JSON: {exc}") from exc
     return profile_from_dict(doc)
 
-
-def with_kernels(profile: QueryProfile, kernels: Iterable[KernelRecord]) -> QueryProfile:
-    return replace(profile, kernels=tuple(kernels))

@@ -135,22 +135,19 @@ def emit_plot_data(points: Sequence[RooflinePoint], ceilings: RooflineCeilings,
             raise ValidationError(
                 f"point {p.label!r} is at level {p.level.value}, ceilings are "
                 f"for {ceilings.level.value}")
-    lines = ["series,ai,throughput,above_roof"]
     series = f"ceiling:{ceilings.level.value}"
-    for ai in ai_grid():
-        lines.append(f"{series},{ai:.12g},{ceilings.roof_at(ai):.12g},false")
-    for p in points:
-        roof = ceilings.roof_at(p.ai)
-        above = p.throughput > roof * (1.0 + _ABOVE_ROOF_RTOL)
-        lines.append(
-            f"{p.label},{p.ai:.12g},{p.throughput:.12g},{'true' if above else 'false'}")
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    rows = [(series, ai, ceilings.roof_at(ai), False) for ai in ai_grid()]
+    rows.extend(
+        (p.label, p.ai, p.throughput,
+         p.throughput > ceilings.roof_at(p.ai) * (1.0 + _ABOVE_ROOF_RTOL))
+        for p in points)
+    write_series_csv(rows, sink)
 
 
 def write_series_csv(rows: Iterable[tuple[str, float, float, bool]],
                      sink: IO[bytes],
                      header: str = "series,ai,throughput,above_roof") -> None:
-    """Generic writer sharing the plot CSV layout (used by scaling curves)."""
+    """The one CSV writer: the header, then a `series,x,y,flag` line per row."""
     lines = [header]
     for series, x, y, flag in rows:
         lines.append(f"{series},{x:.12g},{y:.12g},{'true' if flag else 'false'}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from roofcast.advisor import (
@@ -6,7 +8,7 @@ from roofcast.advisor import (
     enumerate_configs,
     scaling_curve,
 )
-from roofcast.concurrency import WorkloadSpec
+from roofcast.concurrency import WorkloadSpec, estimate_qps, instance_times
 from roofcast.core import (
     HardwareSpec,
     PartitionConfig,
@@ -102,6 +104,24 @@ def test_whatif_report_serializes():
                                    "resource_fraction_used",
                                    "confidence_flags"}
 
+
+
+def test_advise_rows_come_from_the_estimator_table():
+    w = workload([
+        (profile_from_utils(HW, **UNDER_UTILIZED, query_id="a",
+                            cpu_overhead=0.003), 3.0),
+        (profile_from_utils(HW, **SATURATED, query_id="b", t0=0.02), 1.0),
+    ])
+    weights = [weight for _, weight in w.queries]
+    report = advise(w, HW, Objective.MAX_THROUGHPUT)
+    assert len(report.rows) == len(enumerate_configs(HW))
+    for row in report.rows:
+        scoped = replace(w, doc=len(row.config.instances))
+        means = [sum(wt * t for wt, t in zip(weights, times))
+                 for times in instance_times(scoped, HW, row.config)]
+        assert row.predicted_qps == estimate_qps(scoped, HW, row.config)
+        assert row.predicted_mean_latency == sum(means) / len(means)
+        assert row.to_dict()["confidence_flags"] == []
 
 # ---------------------------------------------------------------------------
 # Scaling curve

@@ -225,3 +225,28 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     code = main(["concurrency", "--workload", str(workload),
                  "--mig", "3g.20gb+3g.20gb"])
     assert code == 2
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"queries": ["profile.json"]}, "queries[0] must be"),
+    ({"queries": [{"profile": "profile.json", "weight": "heavy"}]},
+     "queries[0].weight must be"),
+    ({"queries": [{"profile": "profile.json", "weight": float("nan")}]},
+     "queries[0].weight must be"),
+    ({"doc": "two"}, "doc must be"),
+    ({"queries": 5}, "queries must be"),
+    ({"dispatch_count": "many"}, "dispatch_count must be"),
+    ({"seed": [1]}, "seed must be"),
+])
+def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
+                                                     fields, named):
+    profile = write_profile(tmp_path)
+    workload = write_workload(tmp_path, profile)
+    doc = json.loads(workload.read_text())
+    doc.update(fields)
+    workload.write_text(json.dumps(doc))
+    code = main(["concurrency", "--workload", str(workload)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err

@@ -21,7 +21,6 @@ from roofcast.ingest import (
     read_profile_json,
     serialize_kernels_csv,
     validate_against_roofs,
-    with_kernels,
     write_profile_json,
 )
 
@@ -261,9 +260,3 @@ def test_profile_optional_ratios_validated():
     with pytest.raises(ValidationError):
         make_profile(k, scale_factor=0)
 
-
-def test_with_kernels_replaces():
-    profile = make_profile([KernelRecord("k", 1e-3, 1, 1, 1)])
-    new = with_kernels(profile, [KernelRecord("j", 2e-3, 2, 2, 2)])
-    assert new.kernels[0].kernel_name == "j"
-    assert new.query_id == profile.query_id
