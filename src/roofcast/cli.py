@@ -116,7 +116,10 @@ def _emit_report(payload: dict, manifest: RunManifest, out: str | None) -> None:
         "manifest_hash": manifest.hash(),
         **payload,
     }
-    text = json.dumps(report, indent=2) + "\n"
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InternalInvariantError(f"report is not valid JSON: {exc}") from None
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

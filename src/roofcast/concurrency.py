@@ -14,6 +14,10 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from heapq import heapreplace
+from itertools import accumulate, islice
+from operator import add
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -26,7 +30,12 @@ from .core import (
     allocation_of,
     fraction_sums,
 )
-from .errors import InfeasibleAllocationWarning, SchemaError, ValidationError
+from .errors import (
+    InfeasibleAllocationWarning,
+    SchemaError,
+    ValidationError,
+    coerce,
+)
 from .ingest import QueryProfile, aggregate, profile_from_dict, read_profile_json
 from .scaling import slowdown_unified
 
@@ -162,31 +171,96 @@ def simulate_dispatch(w: WorkloadSpec, hw: HardwareSpec,
     per-query times the estimator uses. Returns dispatch_count / makespan.
     Identical (workload, seed, config) inputs give identical results.
     """
-    per_instance_times = instance_times(w, hw, config)
+    table = instance_times(w, hw, config)
     rng = random.Random(w.seed)
     weights = [weight for _, weight in w.queries]
     choices = rng.choices(range(len(w.queries)), weights=weights,
                           k=w.dispatch_count)
-    busy_until = [0.0] * w.doc
-    trace_rows: list[tuple[int, str, float, float]] = []
-    for j, query_idx in enumerate(choices):
-        if least_loaded:
-            instance = min(range(w.doc), key=lambda i: (busy_until[i], i))
-        else:
-            instance = j % w.doc
-        start = busy_until[instance]
-        end = start + per_instance_times[instance][query_idx]
-        busy_until[instance] = end
-        if trace_sink is not None:
-            trace_rows.append(
-                (instance, w.queries[query_idx][0].query_id, start, end))
-    makespan = max(busy_until)
-    if trace_sink is not None:
-        lines = ["instance,query_id,start,end"]
-        lines.extend(f"{i},{qid},{start:.12g},{end:.12g}"
-                     for i, qid, start, end in trace_rows)
-        trace_sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    if trace_sink is None and least_loaded:
+        makespan = _least_loaded(table, choices)
+    elif trace_sink is None:
+        # Instance i serves choices[i::doc] back to back. reduce keeps the
+        # left-to-right float additions of a per-dispatch loop; sum would
+        # not, as it is compensated from Python 3.12 on.
+        makespan = max(
+            reduce(add, map(row.__getitem__,
+                            islice(choices, i, None, w.doc)), 0.0)
+            for i, row in enumerate(table))
+    else:
+        trace_sink.write(b"instance,query_id,start,end\n")
+        # heads[i][q] is the "instance,query_id," start of a trace row.
+        heads = [[f"{i},{profile.query_id}," for profile, _ in w.queries]
+                 for i in range(w.doc)]
+        traced = _least_loaded_traced if least_loaded else _round_robin_traced
+        makespan = traced(table, choices, heads, trace_sink)
     return w.dispatch_count / makespan
+
+
+# Trace rows are written in dispatch order, this many per write. The text
+# of an end time is reused as the start of the next dispatch on the same
+# instance, which is the same float ("0" for the first).
+_TRACE_CHUNK = 1 << 16
+
+
+def _write_rows(sink: IO[bytes], lines: list[str]) -> None:
+    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _least_loaded(table: list[list[float]], choices: list[int]) -> float:
+    """Send each dispatch to the instance that frees up first, the lowest
+    index on ties; return the makespan."""
+    heap = [(0.0, i) for i in range(len(table))]
+    for q in choices:
+        start, i = heap[0]
+        heapreplace(heap, (start + table[i][q], i))
+    return max(heap)[0]
+
+
+def _least_loaded_traced(table: list[list[float]], choices: list[int],
+                         heads: list[list[str]], sink: IO[bytes]) -> float:
+    """_least_loaded, writing one trace row per dispatch."""
+    heap = [(0.0, i) for i in range(len(table))]
+    marks = ["0"] * len(table)
+    lines = []
+    for q in choices:
+        start, i = heap[0]
+        end = start + table[i][q]
+        heapreplace(heap, (end, i))
+        mark = f"{end:.12g}"
+        lines.append(f"{heads[i][q]}{marks[i]},{mark}")
+        marks[i] = mark
+        if len(lines) == _TRACE_CHUNK:
+            _write_rows(sink, lines)
+            lines = []
+    if lines:
+        _write_rows(sink, lines)
+    return max(heap)[0]
+
+
+def _round_robin_traced(table: list[list[float]], choices: list[int],
+                        heads: list[list[str]], sink: IO[bytes]) -> float:
+    """Round-robin dispatch, one chunk at a time: each instance's share of
+    a chunk is summed with accumulate, then its trace rows are interleaved
+    back into dispatch order."""
+    doc = len(table)
+    busy_until = [0.0] * doc
+    step = doc * max(1, _TRACE_CHUNK // doc)
+    for lo in range(0, len(choices), step):
+        block = choices[lo:lo + step]
+        lines = [""] * len(block)
+        for i, row in enumerate(table):
+            mine = block[i::doc]
+            # The instance's busy-until time, then the end of each of its
+            # dispatches in this chunk (each the start of the next one).
+            times = list(accumulate(map(row.__getitem__, mine), add,
+                                    initial=busy_until[i]))
+            texts = [f"{t:.12g}" for t in times]
+            head = heads[i]
+            lines[i::doc] = [f"{head[q]}{start},{end}"
+                             for q, start, end in zip(mine, texts, texts[1:])]
+            busy_until[i] = times[-1]
+        _write_rows(sink, lines)
+    return max(busy_until)
 
 
 def equal_split_config(doc: int, mps: bool = False) -> PartitionConfig:
@@ -218,16 +292,6 @@ def equal_split_config(doc: int, mps: bool = False) -> PartitionConfig:
 # ---------------------------------------------------------------------------
 
 _WORKLOAD_KEYS = {"schema_version", "queries", "doc", "dispatch_count", "seed"}
-
-
-def _coerce(value, cast, field: str):
-    """cast(value), with a type or parse error reported against the field."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(
-            f"workload document: {field} must be a number, got {value!r}"
-        ) from None
 
 
 def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSpec:
@@ -264,14 +328,15 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSp
         else:
             raise SchemaError(
                 f"queries[{i}].profile must be a path or an inline profile")
-        weight = _coerce(entry.get("weight", 1.0), float, f"queries[{i}].weight")
+        weight = coerce(entry.get("weight", 1.0), float,
+                        f"workload document: queries[{i}].weight")
         queries.append((profile, weight))
     return WorkloadSpec(
         queries=tuple(queries),
-        doc=_coerce(doc["doc"], int, "doc"),
-        dispatch_count=_coerce(doc.get("dispatch_count", 1000), int,
-                               "dispatch_count"),
-        seed=_coerce(doc.get("seed", 0), int, "seed"),
+        doc=coerce(doc["doc"], int, "workload document: doc"),
+        dispatch_count=coerce(doc.get("dispatch_count", 1000), int,
+                              "workload document: dispatch_count"),
+        seed=coerce(doc.get("seed", 0), int, "workload document: seed"),
     )
 
 

@@ -285,7 +285,8 @@ def load_hardware_spec(path: str | Path) -> HardwareSpec:
     """Load a hardware spec (and its partition catalog) from a YAML file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                              yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return hardware_spec_from_dict(doc)

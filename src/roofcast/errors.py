@@ -35,3 +35,21 @@ class InternalInvariantError(RoofcastError):
 
 class InfeasibleAllocationWarning(UserWarning):
     """Concurrent plans oversubscribe at least one GPU resource."""
+
+
+def coerce(value, cast: type[int] | type[float], field: str):
+    """value as a float or an int, or a SchemaError that names the field.
+
+    An int field takes any integral number, so 1e6 is accepted and 2.7 is
+    not.
+    """
+    try:
+        if cast is int and not isinstance(value, int):
+            number = float(value)
+            if not number.is_integer():
+                raise ValueError(value)
+            return int(number)
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise SchemaError(f"{field} must be {kind}, got {value!r}") from None

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     SchemaError,
     ValidationError,
+    coerce,
 )
 
 PROFILE_SCHEMA_VERSION = 1
@@ -108,12 +109,15 @@ class QueryProfile:
     plan: tuple = ()                # operator descriptions, see opcost module
 
     def __post_init__(self):
-        if not self.scale_factor > 0:
-            raise ValidationError(f"scale_factor must be > 0, got {self.scale_factor}")
-        if self.cpu_overhead < 0 or self.setup_overhead < 0:
-            raise ValidationError("overheads must be >= 0")
-        if self.transfer_in_bytes < 0 or self.transfer_out_bytes < 0:
-            raise ValidationError("transfer byte counts must be >= 0")
+        if not (math.isfinite(self.scale_factor) and self.scale_factor > 0):
+            raise ValidationError(
+                f"scale_factor must be finite and > 0, got {self.scale_factor}")
+        for fname in ("cpu_overhead", "setup_overhead", "transfer_in_bytes",
+                      "transfer_out_bytes"):
+            value = getattr(self, fname)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"{fname} must be finite and >= 0, got {value}")
         if self.dram_utilization is not None and not 0 < self.dram_utilization <= 1:
             raise ValidationError(
                 f"dram_utilization must be in (0, 1], got {self.dram_utilization}")
@@ -384,24 +388,37 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
         raise SchemaError(
             f"profile document: unsupported schema_version "
             f"{doc['schema_version']!r}")
+    if not isinstance(doc["kernels"], list):
+        raise SchemaError("profile document: kernels must be a list")
     kernels = []
     for i, k in enumerate(doc["kernels"], start=1):
+        if not isinstance(k, Mapping):
+            raise SchemaError(f"profile document: kernels[{i}] must be a mapping")
         mapping = _canonical_columns(k.keys(), f"kernels[{i}]")
         values = {canon: k[name] for name, canon in mapping.items()}
         kernels.append(_record_from_values(values, i))
-    plan = doc.get("plan") or ()
+    plan = doc.get("plan") or []
+    if not (isinstance(plan, list) and all(isinstance(op, Mapping) for op in plan)):
+        raise SchemaError("profile document: plan must be a list of mappings")
+
+    def number(key, cast=float, default=0.0):
+        return coerce(doc.get(key, default), cast, f"profile document: {key}")
+
+    def optional(key):
+        return None if doc.get(key) is None else number(key)
+
     return QueryProfile(
         query_id=str(doc["query_id"]),
         system=str(doc["system"]),
-        scale_factor=float(doc["scale_factor"]),
+        scale_factor=number("scale_factor"),
         kernels=tuple(kernels),
-        cpu_overhead=float(doc.get("cpu_overhead_s", 0.0)),
-        setup_overhead=float(doc.get("setup_overhead_s", 0.0)),
-        transfer_in_bytes=int(doc.get("transfer_in_bytes", 0)),
-        transfer_out_bytes=int(doc.get("transfer_out_bytes", 0)),
-        dram_utilization=doc.get("dram_utilization"),
-        l1_hit_rate=doc.get("l1_hit_rate"),
-        l2_hit_rate=doc.get("l2_hit_rate"),
+        cpu_overhead=number("cpu_overhead_s"),
+        setup_overhead=number("setup_overhead_s"),
+        transfer_in_bytes=number("transfer_in_bytes", int, 0),
+        transfer_out_bytes=number("transfer_out_bytes", int, 0),
+        dram_utilization=optional("dram_utilization"),
+        l1_hit_rate=optional("l1_hit_rate"),
+        l2_hit_rate=optional("l2_hit_rate"),
         plan=tuple(dict(op) for op in plan),
     )
 

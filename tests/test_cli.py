@@ -250,3 +250,72 @@ def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
     assert code == 2
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"dram_utilization": "x"}, "dram_utilization must be a number"),
+    ({"cpu_overhead_s": float("nan")}, "cpu_overhead must be finite"),
+    ({"setup_overhead_s": float("inf")}, "setup_overhead must be finite"),
+    ({"scale_factor": "abc"}, "scale_factor must be a number"),
+    ({"scale_factor": float("inf")}, "scale_factor must be finite"),
+    ({"transfer_in_bytes": 2.5}, "transfer_in_bytes must be an integer"),
+    ({"l2_hit_rate": [0.5]}, "l2_hit_rate must be a number"),
+    ({"kernels": [5]}, "kernels[1] must be a mapping"),
+    ({"kernels": "k0"}, "kernels must be a list"),
+    ({"plan": [3]}, "plan must be a list of mappings"),
+])
+def test_malformed_inline_profile_exits_2_naming_the_field(tmp_path, capsys,
+                                                          fields, named):
+    profile = profile_from_utils(HW, util_compute=0.1, util_dram=0.3,
+                                 util_l2=0.2, t0=0.05)
+    workload = write_workload(tmp_path, write_profile(tmp_path))
+    doc = json.loads(workload.read_text())
+    doc["queries"] = [{"profile": {**profile_to_dict(profile), **fields}}]
+    workload.write_text(json.dumps(doc))
+    code = main(["concurrency", "--workload", str(workload)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"doc": 2.7}, "doc must be an integer"),
+    ({"dispatch_count": 10.5}, "dispatch_count must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": float("inf")}, "seed must be an integer"),
+])
+def test_non_integral_workload_field_exits_2(tmp_path, capsys, fields, named):
+    workload = write_workload(tmp_path, write_profile(tmp_path))
+    doc = json.loads(workload.read_text())
+    doc.update(fields)
+    workload.write_text(json.dumps(doc))
+    code = main(["concurrency", "--workload", str(workload)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_workload_fields_are_accepted(tmp_path, capsys):
+    workload = write_workload(tmp_path, write_profile(tmp_path))
+    doc = json.loads(workload.read_text())
+    doc.update({"doc": 2.0, "dispatch_count": 1e3, "seed": 3.0})
+    workload.write_text(json.dumps(doc))
+    code, out = run(capsys, "concurrency", "--workload", str(workload))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["doc"], report["dispatch_count"]) == (2, 1000)
+
+
+def test_nan_in_report_exits_3_without_traceback(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr("roofcast.cli.estimate_qps",
+                        lambda *args: float("nan"))
+    workload = write_workload(tmp_path, write_profile(tmp_path))
+    code = main(["concurrency", "--workload", str(workload)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "internal invariant failure" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,6 +1,8 @@
 import io
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from roofcast.concurrency import (
     estimate_qps,
     exec_time_concurrent,
     exec_time_process,
+    instance_times,
     load_workload,
     simulate_dispatch,
     warm_query_time,
@@ -238,3 +241,130 @@ def test_workload_json_loading(tmp_path):
 
     with pytest.raises(SchemaError, match="mystery"):
         workload_from_dict(dict(doc, mystery=1))
+
+
+# ---------------------------------------------------------------------------
+# The simulator against its per-dispatch reference
+# ---------------------------------------------------------------------------
+
+
+def reference_simulate_dispatch(w, hw, config, least_loaded=False,
+                                trace_sink=None):
+    """The original per-dispatch loop: bit-for-bit what simulate_dispatch
+    must return and write."""
+    per_instance_times = instance_times(w, hw, config)
+    rng = random.Random(w.seed)
+    weights = [weight for _, weight in w.queries]
+    choices = rng.choices(range(len(w.queries)), weights=weights,
+                          k=w.dispatch_count)
+    busy_until = [0.0] * w.doc
+    trace_rows = []
+    for j, query_idx in enumerate(choices):
+        if least_loaded:
+            instance = min(range(w.doc), key=lambda i: (busy_until[i], i))
+        else:
+            instance = j % w.doc
+        start = busy_until[instance]
+        end = start + per_instance_times[instance][query_idx]
+        busy_until[instance] = end
+        if trace_sink is not None:
+            trace_rows.append(
+                (instance, w.queries[query_idx][0].query_id, start, end))
+    makespan = max(busy_until)
+    if trace_sink is not None:
+        lines = ["instance,query_id,start,end"]
+        lines.extend(f"{i},{qid},{start:.12g},{end:.12g}"
+                     for i, qid, start, end in trace_rows)
+        trace_sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    return w.dispatch_count / makespan
+
+
+def mixed_queries():
+    return [
+        (profile_from_utils(HW, **UNDER_UTILIZED, t0=0.02, cpu_overhead=0.002,
+                            query_id="fast"), 3.0),
+        (profile_from_utils(HW, **COMPUTE_BOUND, t0=0.05, query_id="mid"), 2.0),
+        (profile_from_utils(HW, **SATURATED, t0=0.125, cpu_overhead=0.004,
+                            query_id="slow"), 1.0),
+    ]
+
+
+def catalog_config(name):
+    return next(c for c in HW.mig_catalog if c.name == name)
+
+
+# (queries, config, dispatch_count). One query on an equal split makes
+# every instance tie; "4g.20gb+1g.5gb*3" has unequal instances; doc=1 has
+# one instance; two dispatches on four instances leave two idle.
+SIMULATOR_CASES = {
+    "equal-3-mix": (mixed_queries, lambda: equal_split_config(3), 1000),
+    "equal-4-ties": (lambda: mixed_queries()[:1], lambda: equal_split_config(4),
+                     1000),
+    "catalog-4g-1g*3": (mixed_queries,
+                        lambda: catalog_config("4g.20gb+1g.5gb*3"), 1000),
+    "doc-1": (mixed_queries, lambda: equal_split_config(1), 500),
+    "idle-instances": (mixed_queries, lambda: equal_split_config(4), 2),
+}
+
+
+@pytest.mark.parametrize("least_loaded", [False, True],
+                         ids=["round-robin", "least-loaded"])
+@pytest.mark.parametrize("case", sorted(SIMULATOR_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_simulator_matches_reference_exactly(case, least_loaded, seed):
+    queries, config, dispatch_count = SIMULATOR_CASES[case]
+    config = config()
+    w = make_workload(queries(), doc=len(config.instances),
+                      dispatch_count=dispatch_count, seed=seed)
+    expected_sink, sink = io.BytesIO(), io.BytesIO()
+    expected = reference_simulate_dispatch(w, HW, config, least_loaded,
+                                           expected_sink)
+    assert simulate_dispatch(w, HW, config, least_loaded) == expected
+    assert simulate_dispatch(w, HW, config, least_loaded, sink) == expected
+    assert sink.getvalue() == expected_sink.getvalue()
+
+
+class RecordingSink(io.BytesIO):
+    """A byte sink that remembers how many rows each write carried."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows_per_write = []
+
+    def write(self, data):
+        self.rows_per_write.append(data.count(b"\n"))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("least_loaded", [False, True],
+                         ids=["round-robin", "least-loaded"])
+def test_trace_streams_in_bounded_chunks(least_loaded):
+    w = make_workload(mixed_queries(), doc=7, dispatch_count=150_000, seed=3)
+    config = equal_split_config(7)
+    expected_sink, sink = io.BytesIO(), RecordingSink()
+    expected = reference_simulate_dispatch(w, HW, config, least_loaded,
+                                           expected_sink)
+    assert simulate_dispatch(w, HW, config, least_loaded, sink) == expected
+    assert sink.getvalue() == expected_sink.getvalue()
+    assert len(sink.rows_per_write) > 2
+    assert max(sink.rows_per_write) <= 1 << 16
+
+
+@pytest.mark.parametrize("least_loaded", [False, True],
+                         ids=["round-robin", "least-loaded"])
+def test_simulator_without_trace_keeps_no_per_dispatch_state(least_loaded):
+    n = 200_000
+    w = make_workload(mixed_queries(), doc=7, dispatch_count=n, seed=5)
+    config = equal_split_config(7)
+    choices = random.Random(w.seed).choices(
+        range(len(w.queries)), weights=[weight for _, weight in w.queries],
+        k=n)
+    choices_size = sys.getsizeof(choices)
+    del choices
+    tracemalloc.start()
+    try:
+        simulate_dispatch(w, HW, config, least_loaded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * choices_size
