@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .core import HardwareSpec, PartitionConfig, ResourceAllocation
+from .core import HardwareSpec, PartitionConfig, ResourceAllocation, allocation_of
 from .errors import ConfigError, ValidationError
 from .ingest import QueryProfile, aggregate
-from .concurrency import WorkloadSpec, instance_means, instance_times
+from .concurrency import WorkloadSpec, allocation_times, instance_means
 from .scaling import slowdown_unified
 
 
@@ -67,14 +67,14 @@ def enumerate_configs(hw: HardwareSpec) -> list[PartitionConfig]:
     return list(hw.mig_catalog)
 
 
-def _evaluate_config(w: WorkloadSpec, hw: HardwareSpec,
-                     config: PartitionConfig) -> WhatIfRow:
-    scoped = replace(w, doc=len(config.instances))
-    means = instance_means(scoped, instance_times(scoped, hw, config))
+def _evaluate_config(config: PartitionConfig,
+                     mean_of: dict[ResourceAllocation, float]) -> WhatIfRow:
+    """One row from the weighted mean warm time of each allocation."""
+    means = [mean_of[allocation_of(inst)] for inst in config.instances]
     return WhatIfRow(
         config=config,
         predicted_qps=sum(1.0 / mean for mean in means),
-        predicted_mean_latency=sum(means) / scoped.doc,
+        predicted_mean_latency=sum(means) / len(means),
         resource_fraction_used=max(config.resource_sums().values()),
     )
 
@@ -99,7 +99,16 @@ def advise(w: WorkloadSpec, hw: HardwareSpec, objective: Objective,
     """
     if configs is None:
         configs = enumerate_configs(hw)
-    rows = [_evaluate_config(w, hw, config) for config in configs]
+    # Rebuilding the spec normalizes its weights a second time, which can
+    # move a weight by an ulp. Each row must equal estimate_qps on
+    # replace(w, doc=<the config's instance count>), which sees these
+    # weights; they do not depend on doc, so one rebuild serves every row.
+    w = replace(w)
+    table = allocation_times(
+        w, hw, (allocation_of(inst)
+                for config in configs for inst in config.instances))
+    mean_of = dict(zip(table, instance_means(w, list(table.values()))))
+    rows = [_evaluate_config(config, mean_of) for config in configs]
     rows.sort(key=_sort_key(objective))
     return WhatIfReport(rows=tuple(rows), ranked_by=objective)
 

@@ -12,31 +12,29 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapreplace
 from itertools import accumulate, islice
 from operator import add
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .core import (
-    SUM_EPS,
     HardwareSpec,
     PartitionConfig,
     PartitionInstance,
     ResourceAllocation,
     allocation_of,
-    fraction_sums,
 )
-from .errors import (
-    InfeasibleAllocationWarning,
-    SchemaError,
-    ValidationError,
-    coerce,
+from .errors import SchemaError, ValidationError, coerce
+from .ingest import (
+    AggregateMetrics,
+    QueryProfile,
+    aggregate,
+    profile_from_dict,
+    read_profile_json,
 )
-from .ingest import QueryProfile, aggregate, profile_from_dict, read_profile_json
 from .scaling import slowdown_unified
 
 WORKLOAD_SCHEMA_VERSION = 1
@@ -88,7 +86,12 @@ class WorkloadSpec:
 def warm_query_time(profile: QueryProfile, hw: HardwareSpec,
                     alloc: ResourceAllocation) -> float:
     """Per-invocation end-to-end time: scaled GPU time plus CPU overhead."""
-    metrics = aggregate(profile, hw)
+    return _warm_time(profile, aggregate(profile, hw), hw, alloc)
+
+
+def _warm_time(profile: QueryProfile, metrics: AggregateMetrics,
+               hw: HardwareSpec, alloc: ResourceAllocation) -> float:
+    """warm_query_time of a profile whose aggregate is already known."""
     prediction = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
     return prediction.predicted_time + profile.cpu_overhead
 
@@ -109,12 +112,6 @@ def exec_time_concurrent(plans: Sequence[ProcessPlan], hw: HardwareSpec) -> floa
     """End-to-end time of concurrent processes: the longest one decides."""
     if not plans:
         raise ValidationError("exec_time_concurrent needs at least one plan")
-    sums = fraction_sums([p.allocation for p in plans])
-    over = {k: v for k, v in sums.items() if v > 1.0 + SUM_EPS}
-    if over:
-        warnings.warn(
-            f"concurrent plans oversubscribe the GPU: {over}",
-            InfeasibleAllocationWarning, stacklevel=2)
     return max(exec_time_process(p, hw) for p in plans)
 
 
@@ -123,27 +120,44 @@ def exec_time_concurrent(plans: Sequence[ProcessPlan], hw: HardwareSpec) -> floa
 # ---------------------------------------------------------------------------
 
 
+def allocation_times(w: WorkloadSpec, hw: HardwareSpec,
+                     allocations: Iterable[ResourceAllocation]
+                     ) -> dict[ResourceAllocation, list[float]]:
+    """Warm per-query time under each distinct allocation: one row per
+    allocation, in first-seen order, one column per query, in query order.
+
+    Each profile is aggregated once and predicted once per allocation;
+    only one aggregate is alive at a time. The table is keyed on
+    allocations (four floats each), never on profiles, whose kernel tuples
+    are slow to hash. The estimator, the simulator and the advisor all
+    read this one table.
+    """
+    table = {alloc: [] for alloc in allocations}
+    for profile, _ in w.queries:
+        metrics = aggregate(profile, hw)
+        for alloc, row in table.items():
+            row.append(_warm_time(profile, metrics, hw, alloc))
+    return table
+
+
 def instance_times(w: WorkloadSpec, hw: HardwareSpec,
                    config: PartitionConfig) -> list[list[float]]:
-    """Warm per-query time on each instance: one row per instance, in
-    instance order, one column per query, in query order.
+    """Warm per-query time on each instance: its allocation's row of
+    allocation_times, in instance order.
 
-    The estimator, the simulator and the advisor all read this one table.
+    Instances with the same allocation share one row; rows are read-only.
     """
     if len(config.instances) != w.doc:
         raise ValidationError(
             f"config {config.name!r} has {len(config.instances)} instances "
             f"but workload degree of concurrency is {w.doc}")
-    table = []
-    for inst in config.instances:
-        alloc = allocation_of(inst)
-        table.append([warm_query_time(profile, hw, alloc)
-                      for profile, _ in w.queries])
-    return table
+    allocations = [allocation_of(inst) for inst in config.instances]
+    table = allocation_times(w, hw, allocations)
+    return [table[alloc] for alloc in allocations]
 
 
 def instance_means(w: WorkloadSpec, table: list[list[float]]) -> list[float]:
-    """Weighted mean warm per-query time of each row of an instance table."""
+    """Weighted mean warm per-query time of each row of a warm-time table."""
     return [sum(weight * t for (_, weight), t in zip(w.queries, row))
             for row in table]
 

@@ -8,10 +8,11 @@ so the model equations never touch unit conversions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import yaml
 
@@ -22,6 +23,9 @@ GOPS = 1e9
 MB = 1e6
 
 DEFAULT_HW_NAME = "a100_40gb"
+
+_RESOURCE_FIELDS = ("compute_fraction", "dram_bw_fraction",
+                    "l2_bw_fraction", "mem_capacity_fraction")
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,11 @@ class ResourceAllocation:
     mem_capacity_fraction: float
 
     def __post_init__(self):
-        for field in ("compute_fraction", "dram_bw_fraction",
-                      "l2_bw_fraction", "mem_capacity_fraction"):
+        for field in _RESOURCE_FIELDS:
             value = getattr(self, field)
-            if not value > 0:
-                raise ValidationError(f"{field} must be > 0, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(
+                    f"{field} must be finite and > 0, got {value}")
 
     def is_full(self) -> bool:
         return (self.compute_fraction == 1.0 and self.dram_bw_fraction == 1.0
@@ -66,8 +70,7 @@ class PartitionInstance:
     mem_capacity_fraction: float
 
     def __post_init__(self):
-        for field in ("compute_fraction", "dram_bw_fraction",
-                      "l2_bw_fraction", "mem_capacity_fraction"):
+        for field in _RESOURCE_FIELDS:
             value = getattr(self, field)
             if not 0 < value <= 1.0:
                 raise ValidationError(
@@ -77,15 +80,7 @@ class PartitionInstance:
 
 # Float tolerance for "fractions sum to at most the whole GPU" checks;
 # catalogs expressed as repeating decimals (e.g. 3 * 1/3) must not be rejected.
-SUM_EPS = 1e-9
-
-_RESOURCE_FIELDS = ("compute_fraction", "dram_bw_fraction",
-                    "l2_bw_fraction", "mem_capacity_fraction")
-
-
-def fraction_sums(shares: Sequence) -> dict[str, float]:
-    """Per-resource totals across partition instances or allocations."""
-    return {f: sum(getattr(s, f) for s in shares) for f in _RESOURCE_FIELDS}
+_SUM_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,15 @@ class PartitionConfig:
         checked = (("compute_fraction",) if self.shared_memory
                    else _RESOURCE_FIELDS)
         for field in checked:
-            if sums[field] > 1.0 + SUM_EPS:
+            if sums[field] > 1.0 + _SUM_EPS:
                 raise ValidationError(
                     f"partition config {self.name!r}: {field} sums to "
                     f"{sums[field]:.6f} > 1.0 across instances")
 
     def resource_sums(self) -> dict[str, float]:
         """Per-resource totals across instances, keyed by fraction field."""
-        return fraction_sums(self.instances)
+        return {f: sum(getattr(inst, f) for inst in self.instances)
+                for f in _RESOURCE_FIELDS}
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class InternalInvariantError(RoofcastError):
     """A model invariant that should be unreachable was violated."""
 
 
-class InfeasibleAllocationWarning(UserWarning):
-    """Concurrent plans oversubscribe at least one GPU resource."""
-
-
 def coerce(value, cast: type[int] | type[float], field: str):
     """value as a float or an int, or a SchemaError that names the field.
 

@@ -1,7 +1,9 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from roofcast import concurrency
 from roofcast.advisor import (
     Objective,
     advise,
@@ -13,6 +15,7 @@ from roofcast.core import (
     HardwareSpec,
     PartitionConfig,
     PartitionInstance,
+    allocation_of,
     default_hardware_spec,
 )
 from roofcast.errors import ConfigError, ValidationError
@@ -161,3 +164,43 @@ def test_scaling_curve_validates_fractions():
         scaling_curve(profile, HW, [0.5, 0.25])
     with pytest.raises(ValidationError):
         scaling_curve(profile, HW, [0.5, 1.5])
+
+
+def test_advise_uses_the_weights_estimate_qps_sees():
+    # These weights move by an ulp when a spec is rebuilt and normalizes
+    # them a second time; each row must still match estimate_qps.
+    w = workload([
+        (profile_from_utils(HW, **UNDER_UTILIZED, query_id="a",
+                            cpu_overhead=0.003), 2.3),
+        (profile_from_utils(HW, **SATURATED, query_id="b", t0=0.02), 0.7),
+        (profile_from_utils(HW, util_compute=0.6, util_dram=0.25,
+                            util_l2=0.3, query_id="c", t0=0.05), 0.35),
+    ])
+    assert [wt for _, wt in replace(w).queries] != \
+        [wt for _, wt in w.queries]
+    for row in advise(w, HW, Objective.MIN_LATENCY).rows:
+        scoped = replace(w, doc=len(row.config.instances))
+        assert row.predicted_qps == estimate_qps(scoped, HW, row.config)
+
+
+def test_advise_aggregates_each_profile_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("aggregate", "slowdown_unified"):
+        monkeypatch.setattr(
+            concurrency, name, counted(name, getattr(concurrency, name)))
+    n = 6
+    w = workload([(profile_from_utils(HW, **UNDER_UTILIZED, query_id=f"q{i}",
+                                      t0=0.01 * (i + 1)), 1.0)
+                  for i in range(n)])
+    advise(w, HW, Objective.MAX_THROUGHPUT)
+    distinct = {allocation_of(inst) for config in HW.mig_catalog
+                for inst in config.instances}
+    assert len(distinct) == 5
+    assert calls == {"aggregate": n, "slowdown_unified": 5 * n}

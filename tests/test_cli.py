@@ -107,6 +107,23 @@ def test_predict_table_and_curve_outputs(tmp_path, capsys):
     assert len(lines) == 17
 
 
+@pytest.mark.parametrize("alloc, extra, named", [
+    ("inf,inf,inf,inf", (), "compute_fraction must be finite and > 0, got inf"),
+    ("0.5,inf,0.5,0.5", ("--table",),
+     "dram_bw_fraction must be finite and > 0, got inf"),
+])
+def test_predict_infinite_allocation_exits_2(tmp_path, capsys, alloc, extra,
+                                             named):
+    profile = write_profile(tmp_path)
+    code = main(["predict", "--profile", str(profile), "--alloc", alloc,
+                 *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_roofline_report_and_plot(tmp_path, capsys):
     profile = write_profile(tmp_path)
     plot = tmp_path / "plot.csv"

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -20,12 +21,13 @@ from roofcast.concurrency import (
     warm_query_time,
     workload_from_dict,
 )
-from roofcast.core import ResourceAllocation, default_hardware_spec, full_allocation
-from roofcast.errors import (
-    InfeasibleAllocationWarning,
-    SchemaError,
-    ValidationError,
+from roofcast.core import (
+    ResourceAllocation,
+    allocation_of,
+    default_hardware_spec,
+    full_allocation,
 )
+from roofcast.errors import SchemaError, ValidationError
 from roofcast.ingest import profile_to_dict
 
 from conftest import profile_from_utils
@@ -99,11 +101,17 @@ def test_exec_time_concurrent_random_lists_match_componentwise_max():
 def test_exec_time_concurrent_empty_and_infeasible():
     with pytest.raises(ValidationError):
         exec_time_concurrent([], HW)
+
+
+def test_exec_time_concurrent_mps_plans_do_not_warn():
+    # MPS-style plans split compute and share memory by design.
     profile = profile_from_utils(HW, **UNDER_UTILIZED)
-    plans = [ProcessPlan(profile, ResourceAllocation(0.7, 0.7, 0.7, 0.7))
+    plans = [ProcessPlan(profile, ResourceAllocation(0.5, 1.0, 1.0, 1.0))
              for _ in range(2)]
-    with pytest.warns(InfeasibleAllocationWarning):
-        exec_time_concurrent(plans, HW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exec_time_concurrent(plans, HW) == \
+            exec_time_process(plans[0], HW)
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +376,21 @@ def test_simulator_without_trace_keeps_no_per_dispatch_state(least_loaded):
     finally:
         tracemalloc.stop()
     assert peak < 2 * choices_size
+
+
+# ---------------------------------------------------------------------------
+# The warm-time table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "config",
+    [*HW.mig_catalog, equal_split_config(7), equal_split_config(4, mps=True)],
+    ids=lambda c: c.name)
+def test_instance_times_rows_are_warm_query_times(config):
+    w = make_workload(mixed_queries(), doc=len(config.instances))
+    table = instance_times(w, HW, config)
+    assert len(table) == len(config.instances)
+    for inst, row in zip(config.instances, table):
+        assert row == [warm_query_time(p, HW, allocation_of(inst))
+                       for p, _ in w.queries]
