@@ -120,6 +120,11 @@ def _emit_report(payload: dict, manifest: RunManifest, out: str | None) -> None:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise InternalInvariantError(f"report is not valid JSON: {exc}") from None
+    _write_text(text, out)
+
+
+def _write_text(text: str, out: str | None) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -180,12 +185,9 @@ def cmd_ingest(args) -> int:
         l1_hit_rate=args.l1_hit_rate,
         l2_hit_rate=args.l2_hit_rate,
     )
-    text = write_profile_json(profile)
     if args.out:
         manifest.outputs.append(args.out)
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(write_profile_json(profile), args.out)
     return EXIT_OK
 
 
@@ -264,11 +266,7 @@ def cmd_predict(args) -> int:
             f"{'direction':<14} {prediction.direction.value}",
             f"{'confidence':<14} {prediction.confidence.value}",
         ]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     payload = {
         "query_id": profile.query_id,
@@ -333,11 +331,7 @@ def cmd_advise(args) -> int:
                 f"{row.config.name:<28} {len(row.config.instances):>3} "
                 f"{row.predicted_qps:>12.4g} {row.predicted_mean_latency:>12.4g} "
                 f"{row.resource_fraction_used:>6.4g}  -")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     _emit_report(report.to_dict(), manifest, args.out)
     return EXIT_OK

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import yaml
 
-from .errors import ConfigError, SchemaError, ValidationError
+from .errors import ConfigError, SchemaError, ValidationError, coerce
 
 GB = 1e9
 GOPS = 1e9
@@ -48,11 +48,6 @@ class ResourceAllocation:
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(
                     f"{field} must be finite and > 0, got {value}")
-
-    def is_full(self) -> bool:
-        return (self.compute_fraction == 1.0 and self.dram_bw_fraction == 1.0
-                and self.l2_bw_fraction == 1.0
-                and self.mem_capacity_fraction == 1.0)
 
 
 @dataclass(frozen=True)
@@ -142,8 +137,11 @@ class HardwareSpec:
             "l2_request_bytes": self.l2_request_bytes,
         }
         for field, value in positive.items():
-            if not value > 0:
-                raise ValidationError(f"{field} must be > 0, got {value}")
+            # compared, not passed to math.isfinite, which raises
+            # OverflowError on a YAML integer too large for a float
+            if not 0 < value < math.inf:
+                raise ValidationError(
+                    f"{field} must be finite and > 0, got {value}")
         if not self.peak_l2_bw > self.peak_dram_bw:
             raise ValidationError(
                 "peak_l2_bw must exceed peak_dram_bw (cache sits above DRAM); "
@@ -209,7 +207,8 @@ _INSTANCE_KEYS = {"name", "compute", "dram_bw", "l2_bw", "mem_capacity"}
 def _reject_unknown(mapping: Mapping, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
-        raise SchemaError(f"{context}: unknown keys {sorted(unknown)}")
+        raise SchemaError(
+            f"{context}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
@@ -226,23 +225,36 @@ def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
             raw_instances = entry["instances"]
         except KeyError as exc:
             raise SchemaError(f"mig_catalog[{i}]: missing key {exc}") from None
+        if not isinstance(raw_instances, list):
+            raise SchemaError(f"mig_catalog[{i}].instances must be a list, "
+                              f"got {raw_instances!r}")
+        shared_memory = entry.get("shared_memory", False)
+        if not isinstance(shared_memory, bool):
+            raise SchemaError(f"mig_catalog[{i}].shared_memory must be a "
+                              f"boolean, got {shared_memory!r}")
         instances = []
         for j, inst in enumerate(raw_instances):
-            _reject_unknown(inst, _INSTANCE_KEYS, f"mig_catalog[{i}].instances[{j}]")
-            try:
-                instances.append(PartitionInstance(
-                    name=str(inst["name"]),
-                    compute_fraction=float(inst["compute"]),
-                    dram_bw_fraction=float(inst["dram_bw"]),
-                    l2_bw_fraction=float(inst["l2_bw"]),
-                    mem_capacity_fraction=float(inst["mem_capacity"]),
-                ))
-            except KeyError as exc:
-                raise SchemaError(
-                    f"mig_catalog[{i}].instances[{j}]: missing key {exc}") from None
+            context = f"mig_catalog[{i}].instances[{j}]"
+            if not isinstance(inst, dict):
+                raise SchemaError(f"{context} must be a mapping")
+            _reject_unknown(inst, _INSTANCE_KEYS, context)
+            missing = _INSTANCE_KEYS - set(inst)
+            if missing:
+                raise SchemaError(f"{context}: missing keys {sorted(missing)}")
+            instances.append(PartitionInstance(
+                name=str(inst["name"]),
+                compute_fraction=coerce(inst["compute"], float,
+                                        f"{context}.compute"),
+                dram_bw_fraction=coerce(inst["dram_bw"], float,
+                                        f"{context}.dram_bw"),
+                l2_bw_fraction=coerce(inst["l2_bw"], float,
+                                      f"{context}.l2_bw"),
+                mem_capacity_fraction=coerce(inst["mem_capacity"], float,
+                                             f"{context}.mem_capacity"),
+            ))
         configs.append(PartitionConfig(
             name=str(name), instances=tuple(instances),
-            shared_memory=bool(entry.get("shared_memory", False))))
+            shared_memory=shared_memory))
     return tuple(configs)
 
 
@@ -257,24 +269,23 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
     if doc["schema_version"] != HW_SCHEMA_VERSION:
         raise SchemaError(
             f"hardware spec: unsupported schema_version {doc['schema_version']!r}")
-    try:
-        spec = HardwareSpec(
-            name=str(doc["name"]),
-            sm_count=int(doc["sm_count"]),
-            peak_compute_bw=float(doc["peak_compute_gops"]) * GOPS,
-            peak_dram_bw=float(doc["peak_dram_gbps"]) * GB,
-            peak_l2_bw=float(doc["peak_l2_gbps"]) * GB,
-            l2_capacity_bytes=float(doc["l2_capacity_mb"]) * MB,
-            dram_capacity_bytes=float(doc["dram_capacity_gb"]) * GB,
-            host_link_bw=float(doc["host_link_gbps"]) * GB,
-            l2_request_bytes=int(doc.get("l2_request_bytes", 128)),
-            mig_catalog=_parse_catalog(doc.get("mig_catalog", [])),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise SchemaError(f"hardware spec: {exc}") from exc
-    return spec
+
+    def number(key: str, scale: float) -> float:
+        return coerce(doc[key], float, key) * scale
+
+    return HardwareSpec(
+        name=str(doc["name"]),
+        sm_count=coerce(doc["sm_count"], int, "sm_count"),
+        peak_compute_bw=number("peak_compute_gops", GOPS),
+        peak_dram_bw=number("peak_dram_gbps", GB),
+        peak_l2_bw=number("peak_l2_gbps", GB),
+        l2_capacity_bytes=number("l2_capacity_mb", MB),
+        dram_capacity_bytes=number("dram_capacity_gb", GB),
+        host_link_bw=number("host_link_gbps", GB),
+        l2_request_bytes=coerce(doc.get("l2_request_bytes", 128), int,
+                                "l2_request_bytes"),
+        mig_catalog=_parse_catalog(doc.get("mig_catalog", [])),
+    )
 
 
 def load_hardware_spec(path: str | Path) -> HardwareSpec:

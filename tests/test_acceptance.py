@@ -24,12 +24,6 @@ from roofcast.core import (
     default_hardware_spec,
     full_allocation,
 )
-from roofcast.evalkit import (
-    ErrorSample,
-    error_cdf,
-    generate_synthetic,
-    oracle_actual_time,
-)
 from roofcast.ingest import (
     QueryProfile,
     aggregate,
@@ -41,7 +35,7 @@ from roofcast.ingest import (
 )
 from roofcast.opcost import ProbeOp, ScanOp, crystal_probe_time, crystalopt_scan_time, crystal_scan_time
 from roofcast.roofline import BoundKind, MemLevel, build_ceilings, classify
-from roofcast.scaling import linear_baseline, slowdown_mem, slowdown_unified
+from roofcast.scaling import slowdown_mem, slowdown_unified
 from roofcast.advisor import enumerate_configs
 
 from conftest import metrics_from_utils, profile_from_utils
@@ -212,28 +206,18 @@ def test_criterion_6_concurrency_composition_and_simulator_agreement():
               f"heterogeneous gap {worst:.3f} <= 0.10")
 
 
-def test_criterion_7_roofline_beats_linear_baseline_on_synthetic_suite():
-    device, profiles = generate_synthetic(7, 240, HW)
-    grid = (0.125, 0.25, 0.375, 0.5, 0.75)
-    roofline_samples, linear_samples = [], []
-    for profile in profiles:
-        m = aggregate(profile, HW)
-        t0 = m.total_duration
-        for f in grid:
-            alloc = ResourceAllocation(f, f, f, f)
-            actual = oracle_actual_time(device, profile, alloc)
-            predicted = slowdown_unified(m, t0, HW, alloc).predicted_time
-            label = f"{profile.query_id}@{f:g}"
-            roofline_samples.append(ErrorSample(label, predicted, actual))
-            linear_samples.append(
-                ErrorSample(label, linear_baseline(t0, f), actual))
-    rl = error_cdf(roofline_samples)
-    lin = error_cdf(linear_samples)
-    assert len(roofline_samples) == 240 * 5
-    assert rl.median_pct <= lin.median_pct
+def test_criterion_7_roofline_beats_linear_baseline_on_synthetic_suite(tmp_path):
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--seed", "7", "--n-queries", "240",
+                 "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    rl, lin = body["roofline"], body["linear"]
+    assert body["grid"] == [0.125, 0.25, 0.375, 0.5, 0.75]
+    assert body["n_samples"] == 240 * 5
+    assert rl["median_pct"] <= lin["median_pct"]
     report(7, f"240 synthetic queries x 5 allocations: roofline median error "
-              f"{rl.median_pct:.2f}% (p95 {rl.p95_pct:.2f}%) vs linear "
-              f"{lin.median_pct:.2f}% (p95 {lin.p95_pct:.2f}%)")
+              f"{rl['median_pct']:.2f}% (p95 {rl['p95_pct']:.2f}%) vs linear "
+              f"{lin['median_pct']:.2f}% (p95 {lin['p95_pct']:.2f}%)")
 
 
 def test_criterion_8_throughput_trends_with_degree_of_concurrency():

@@ -1,7 +1,9 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from roofcast.cli import main
 from roofcast.core import default_hardware_spec
@@ -11,6 +13,11 @@ from conftest import profile_from_utils
 
 HW = default_hardware_spec()
 GOLDEN = Path(__file__).parent / "data" / "golden_kernels.csv"
+HW_DOC = {
+    "schema_version": 1, "name": "custom", "sm_count": 10,
+    "peak_compute_gops": 100.0, "peak_dram_gbps": 10.0, "peak_l2_gbps": 50.0,
+    "l2_capacity_mb": 1.0, "dram_capacity_gb": 1.0, "host_link_gbps": 4.0,
+}
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -223,10 +230,7 @@ def test_eval_samples_mode(tmp_path, capsys):
 
 def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):
     hw_yaml = tmp_path / "custom.yaml"
-    hw_yaml.write_text(
-        "schema_version: 1\nname: custom\nsm_count: 10\n"
-        "peak_compute_gops: 100.0\npeak_dram_gbps: 10.0\npeak_l2_gbps: 50.0\n"
-        "l2_capacity_mb: 1.0\ndram_capacity_gb: 1.0\nhost_link_gbps: 4.0\n")
+    hw_yaml.write_text(yaml.safe_dump(HW_DOC))
     profile = write_profile(tmp_path)
     monkeypatch.setenv("ROOFCAST_HW", str(hw_yaml))
     code, out = run(capsys, "roofline", "--profile", str(profile))
@@ -234,6 +238,61 @@ def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["levels"]["dram"]["mem_bw"] == 10e9
     assert report["manifest"]["hardware_spec"] == str(hw_yaml)
+
+
+def shared_catalog(**fields) -> list:
+    """One config of two half-compute slices that each see all the memory."""
+    half = {"name": "half", "compute": 0.5, "dram_bw": 1.0, "l2_bw": 1.0,
+            "mem_capacity": 1.0}
+    return [{"name": "shared", "instances": [half, half],
+             "shared_memory": True, **fields}]
+
+
+@pytest.mark.parametrize("command, fields, named", [
+    ("roofline", {"peak_l2_gbps": math.inf},
+     "peak_l2_bw must be finite and > 0, got inf"),
+    ("predict", {"peak_l2_gbps": math.inf},
+     "peak_l2_bw must be finite and > 0, got inf"),
+    ("roofline", {"peak_compute_gops": math.inf},
+     "peak_compute_bw must be finite and > 0, got inf"),
+    ("predict", {"peak_compute_gops": math.inf},
+     "peak_compute_bw must be finite and > 0, got inf"),
+    ("predict", {"peak_dram_gbps": "fast"}, "peak_dram_gbps must be a number"),
+    ("predict", {"sm_count": 1.5}, "sm_count must be an integer"),
+    ("predict", {"l2_request_bytes": 128.5},
+     "l2_request_bytes must be an integer"),
+    ("advise", {"mig_catalog": shared_catalog(shared_memory="false")},
+     "mig_catalog[0].shared_memory must be a boolean"),
+    ("advise", {"mig_catalog": shared_catalog(instances=5)},
+     "mig_catalog[0].instances must be a list"),
+    ("advise", {"mig_catalog": shared_catalog(instances=[5])},
+     "mig_catalog[0].instances[0] must be a mapping"),
+    ("advise", {"mig_catalog": shared_catalog(
+        instances=[{"name": "x", "compute": "half", "dram_bw": 1.0,
+                    "l2_bw": 1.0, "mem_capacity": 1.0}])},
+     "mig_catalog[0].instances[0].compute must be a number"),
+    ("predict", {1: "one", None: "none"}, "unknown keys [1, None]"),
+])
+def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
+                                                          command, fields,
+                                                          named):
+    hw_yaml = tmp_path / "hw.yaml"
+    hw_yaml.write_text(yaml.safe_dump({**HW_DOC, **fields}, sort_keys=False))
+    profile = write_profile(tmp_path)
+    argv = {
+        "roofline": ["roofline", "--profile", str(profile)],
+        "predict": ["predict", "--profile", str(profile),
+                    "--alloc", "0.5,0.5,0.5,0.5"],
+        "advise": ["advise", "--workload",
+                   str(write_workload(tmp_path, profile)),
+                   "--objective", "max-throughput"],
+    }[command]
+    code = main([*argv, "--hw", str(hw_yaml)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_invalid_workload_doc_exits_2(tmp_path, capsys):

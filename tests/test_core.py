@@ -26,7 +26,6 @@ def test_full_allocation_is_identity():
     assert alloc.dram_bw_fraction == 1.0
     assert alloc.l2_bw_fraction == 1.0
     assert alloc.mem_capacity_fraction == 1.0
-    assert alloc.is_full()
 
 
 def test_allocation_of_copies_fractions():

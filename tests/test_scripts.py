@@ -10,11 +10,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script, args", [
+CASES = [
     ("run_doc_sweep.py", ["--docs", "1,2,3", "--dispatch-count", "60"]),
     ("run_doc_sweep.py", ["--docs", "1,4", "--dispatch-count", "60", "--mps"]),
-    ("run_synthetic_eval.py", ["--n-queries", "12", "--grid", "0.25,0.5"]),
-])
+]
+
+
+def test_every_script_has_a_case():
+    scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
+    assert scripts == {script for script, _ in CASES}
+
+
+@pytest.mark.parametrize("script, args", CASES)
 def test_script_runs(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
