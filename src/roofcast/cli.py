@@ -167,8 +167,6 @@ def _find_config(hw: HardwareSpec, name: str):
 
 
 def cmd_ingest(args) -> int:
-    manifest = RunManifest(command="ingest")
-    manifest.add_input(args.input)
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
     with open(args.input, "rb") as stream:
         kernels = parse_counter_file(stream, fmt)
@@ -185,8 +183,6 @@ def cmd_ingest(args) -> int:
         l1_hit_rate=args.l1_hit_rate,
         l2_hit_rate=args.l2_hit_rate,
     )
-    if args.out:
-        manifest.outputs.append(args.out)
     _write_text(write_profile_json(profile), args.out)
     return EXIT_OK
 

@@ -33,19 +33,31 @@ class InternalInvariantError(RoofcastError):
     """A model invariant that should be unreachable was violated."""
 
 
+def integral(value: object) -> int:
+    """value as an int, if it is an integral number that fits a float.
+
+    Raises TypeError, ValueError or OverflowError otherwise, so 1e6 and
+    "1e6" are accepted and 2.7, inf, 10**400 and True are not. An int comes
+    back exact.
+    """
+    number = float(value)
+    # is_integer is also false for inf and nan; bool cannot be subclassed.
+    if value.__class__ is bool or not number.is_integer():
+        raise ValueError(value)
+    return int(value) if isinstance(value, int) else int(number)
+
+
 def coerce(value, cast: type[int] | type[float], field: str):
     """value as a float or an int, or a SchemaError that names the field.
 
-    An int field takes any integral number, so 1e6 is accepted and 2.7 is
-    not.
+    An int field takes what integral() takes. A boolean is not a number.
     """
     try:
-        if cast is int and not isinstance(value, int):
-            number = float(value)
-            if not number.is_integer():
-                raise ValueError(value)
-            return int(number)
-        return cast(value)
+        if cast is int:
+            return integral(value)
+        if isinstance(value, bool):
+            raise TypeError(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
         raise SchemaError(f"{field} must be {kind}, got {value!r}") from None

@@ -24,8 +24,11 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import IO
 
 from .core import HardwareSpec
 from .errors import (
@@ -34,6 +37,7 @@ from .errors import (
     SchemaError,
     ValidationError,
     coerce,
+    integral,
 )
 
 PROFILE_SCHEMA_VERSION = 1
@@ -64,6 +68,10 @@ _COUNTER_COLUMNS = ("duration_ns", "dram_bytes", "l2_requests")
 CANONICAL_HEADER = ("kernel_name", "duration_ns", "dram_bytes", "l2_requests",
                     "int_ops")
 
+# The columns _record_from_values takes, in order, when a row gives its int
+# ops per cycle; otherwise it takes CANONICAL_HEADER.
+_PER_CYCLE_COLUMNS = (*CANONICAL_HEADER[:-1], "int_ops_per_cycle", "cycles")
+
 
 @dataclass(frozen=True)
 class KernelRecord:
@@ -76,9 +84,10 @@ class KernelRecord:
     int_ops: int
 
     def __post_init__(self):
-        if not self.duration > 0:
+        # Profiles store nanoseconds, so those must be finite too.
+        if not (self.duration > 0 and math.isfinite(self.duration * NS_PER_S)):
             raise ValidationError(
-                f"kernel {self.kernel_name!r}: duration must be > 0, "
+                f"kernel {self.kernel_name!r}: duration must be finite and > 0, "
                 f"got {self.duration}")
         for fname in ("dram_bytes", "l2_requests", "int_ops"):
             if getattr(self, fname) < 0:
@@ -149,65 +158,108 @@ class AggregateMetrics:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_columns(names: Iterable[str], context: str) -> dict[str, str]:
-    """Map input column names to canonical ones, ignoring unknown columns."""
-    mapping = {}
-    for name in names:
+def _canonical_columns(names: Sequence[str], context: str) -> tuple[int, ...]:
+    """Positions in names of the columns a record reads, in record order.
+
+    The order is CANONICAL_HEADER, or _PER_CYCLE_COLUMNS when there is no
+    int_ops column. Unknown columns are ignored.
+    """
+    positions = {}
+    for i, name in enumerate(names):
         canon = COLUMN_ALIASES.get(name)
         if canon is None:
             continue
-        if canon in mapping.values():
+        if canon in positions:
             raise SchemaError(f"{context}: duplicate column for {canon!r}")
-        mapping[name] = canon
-    present = set(mapping.values())
-    missing = [c for c in ("kernel_name", *_COUNTER_COLUMNS) if c not in present]
-    if "int_ops" not in present and "int_ops_per_cycle" not in present:
+        positions[canon] = i
+    missing = [c for c in ("kernel_name", *_COUNTER_COLUMNS) if c not in positions]
+    if "int_ops" not in positions and "int_ops_per_cycle" not in positions:
         missing.append("int_ops")
-    if "int_ops_per_cycle" in present and "int_ops" not in present \
-            and "cycles" not in present:
+    if "int_ops_per_cycle" in positions and "int_ops" not in positions \
+            and "cycles" not in positions:
         raise SchemaError(
             f"{context}: per-cycle int ops require a 'cycles' column")
     if missing:
         raise SchemaError(f"{context}: missing required column(s) {missing}")
-    return mapping
+    order = CANONICAL_HEADER if "int_ops" in positions else _PER_CYCLE_COLUMNS
+    return tuple(positions[c] for c in order)
 
 
-def _to_count(raw: object, row: int, column: str) -> int:
+def _finite(raw: object) -> float:
+    """raw as a finite float, or TypeError, ValueError or OverflowError."""
+    value = float(raw)
+    if raw.__class__ is bool or not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _why_not(raw: object) -> str:
+    """Why _finite or integral rejected raw."""
+    if isinstance(raw, bool):
+        return f"not a number: {raw!r}"
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise ParseError(
-            f"row {row}: column {column!r}: not a number: {raw!r}") from None
+        return f"not a number: {raw!r}"
+    except OverflowError:
+        return "too large for a float"
     if not math.isfinite(value):
-        raise ParseError(f"row {row}: column {column!r}: non-finite value")
-    return int(round(value))
+        return "non-finite value"
+    return f"not an integer: {raw!r}"
 
 
-def _record_from_values(values: Mapping[str, object], row: int) -> KernelRecord:
-    name = str(values["kernel_name"])
-    duration_ns = values["duration_ns"]
-    try:
-        duration = float(duration_ns) / NS_PER_S
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"row {row}: column 'duration_ns': not a number: {duration_ns!r}") from None
-    dram = _to_count(values["dram_bytes"], row, "dram_bytes")
-    l2 = _to_count(values["l2_requests"], row, "l2_requests")
-    if "int_ops" in values:
-        ops = _to_count(values["int_ops"], row, "int_ops")
-    else:
-        per_cycle = values["int_ops_per_cycle"]
-        cycles = _to_count(values["cycles"], row, "cycles")
+def _conversion_error(values: tuple, row: int) -> ParseError:
+    """The ParseError naming the first column of values that fails to convert."""
+    per_cycle = len(values) == len(_PER_CYCLE_COLUMNS)
+    columns = _PER_CYCLE_COLUMNS if per_cycle else CANONICAL_HEADER
+    for column, raw in zip(columns[1:], values[1:]):
+        is_count = column not in ("duration_ns", "int_ops_per_cycle")
         try:
-            ops = int(round(float(per_cycle) * cycles))
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"row {row}: column 'int_ops_per_cycle': not a number: "
-                f"{per_cycle!r}") from None
+            (integral if is_count else _finite)(raw)
+        except (TypeError, ValueError, OverflowError):
+            return ParseError(f"row {row}: column {column!r}: {_why_not(raw)}")
+    rate, cycles = values[-2:]
+    return ParseError(
+        f"row {row}: column 'int_ops_per_cycle': {rate!r} per cycle over "
+        f"{cycles!r} cycles is too large for a float")
+
+
+def _record_from_values(values: tuple, row: int) -> KernelRecord:
+    """values: one row's CANONICAL_HEADER or _PER_CYCLE_COLUMNS, in order."""
     try:
-        return KernelRecord(name, duration, dram, l2, ops)
+        if len(values) == len(CANONICAL_HEADER):
+            name, duration_ns, dram, l2, ops = values
+            ops = integral(ops)
+        else:
+            name, duration_ns, dram, l2, per_cycle, cycles = values
+            ops = integral(round(_finite(per_cycle) * integral(cycles)))
+        return KernelRecord(str(name), _finite(duration_ns) / NS_PER_S,
+                            integral(dram), integral(l2), ops)
     except ValidationError as exc:
         raise ValidationError(f"row {row}: {exc}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise _conversion_error(values, row) from None
+
+
+def _records_from_objects(objects: list, label: str,
+                          not_mapping: str) -> list[KernelRecord]:
+    """One record per kernel object, its columns resolved once per key layout.
+
+    label ("row {}") names the 1-based position in a layout error and
+    not_mapping is the message for an entry that is not a mapping.
+    """
+    getters = {}
+    records = []
+    for i, obj in enumerate(objects, start=1):
+        if not isinstance(obj, Mapping):
+            raise SchemaError(not_mapping.format(i))
+        layout = tuple(obj)
+        getter = getters.get(layout)
+        if getter is None:
+            positions = _canonical_columns(layout, label.format(i))
+            getter = getters[layout] = itemgetter(*(layout[j] for j in positions))
+        records.append(_record_from_values(getter(obj), i))
+    return records
 
 
 def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRecord]:
@@ -226,22 +278,14 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
             raise ParseError(f"invalid JSON counter file: {exc}") from exc
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
-        records = []
-        for i, obj in enumerate(rows, start=1):
-            if not isinstance(obj, dict):
-                raise SchemaError(f"row {i}: expected an object")
-            mapping = _canonical_columns(obj.keys(), f"row {i}")
-            values = {canon: obj[name] for name, canon in mapping.items()}
-            records.append(_record_from_values(values, i))
-        return records
+        return _records_from_objects(rows, "row {}", "row {}: expected an object")
 
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("empty counter file: header row required") from None
-    mapping = _canonical_columns(header, "header")
-    indices = {mapping[name]: i for i, name in enumerate(header) if name in mapping}
+    getter = itemgetter(*_canonical_columns(header, "header"))
     records = []
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -249,8 +293,7 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
         if len(row) < len(header):
             raise ParseError(
                 f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-        values = {canon: row[i] for canon, i in indices.items()}
-        records.append(_record_from_values(values, row_no))
+        records.append(_record_from_values(getter(row), row_no))
     return records
 
 
@@ -290,12 +333,17 @@ def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
         raise ValidationError(
             f"profile {profile.query_id!r}: no kernels; GPU-time predictions "
             "need at least one kernel record")
-    # fsum keeps aggregation exactly permutation-invariant.
-    total_duration = math.fsum(k.duration for k in profile.kernels)
-    total_dram = float(sum(k.dram_bytes for k in profile.kernels))
-    total_requests = sum(k.l2_requests for k in profile.kernels)
-    total_l2 = float(total_requests * hw.l2_request_bytes)
-    total_ops = float(sum(k.int_ops for k in profile.kernels))
+    try:
+        # fsum keeps aggregation exactly permutation-invariant.
+        total_duration = math.fsum(k.duration for k in profile.kernels)
+        total_dram = float(sum(k.dram_bytes for k in profile.kernels))
+        total_requests = sum(k.l2_requests for k in profile.kernels)
+        total_l2 = float(total_requests * hw.l2_request_bytes)
+        total_ops = float(sum(k.int_ops for k in profile.kernels))
+    except OverflowError:
+        raise ValidationError(
+            f"profile {profile.query_id!r}: a kernel total is too large for "
+            "a float") from None
     if total_duration <= 0:
         raise ValidationError(
             f"profile {profile.query_id!r}: total duration must be > 0")
@@ -347,7 +395,7 @@ _PROFILE_KEYS = {
 }
 
 
-def profile_to_dict(profile: QueryProfile) -> dict:
+def _header_dict(profile: QueryProfile) -> dict:
     return {
         "schema_version": PROFILE_SCHEMA_VERSION,
         "query_id": profile.query_id,
@@ -360,6 +408,12 @@ def profile_to_dict(profile: QueryProfile) -> dict:
         "dram_utilization": profile.dram_utilization,
         "l1_hit_rate": profile.l1_hit_rate,
         "l2_hit_rate": profile.l2_hit_rate,
+    }
+
+
+def profile_to_dict(profile: QueryProfile) -> dict:
+    return {
+        **_header_dict(profile),
         "kernels": [
             {
                 "kernel_name": k.kernel_name,
@@ -390,13 +444,9 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
             f"{doc['schema_version']!r}")
     if not isinstance(doc["kernels"], list):
         raise SchemaError("profile document: kernels must be a list")
-    kernels = []
-    for i, k in enumerate(doc["kernels"], start=1):
-        if not isinstance(k, Mapping):
-            raise SchemaError(f"profile document: kernels[{i}] must be a mapping")
-        mapping = _canonical_columns(k.keys(), f"kernels[{i}]")
-        values = {canon: k[name] for name, canon in mapping.items()}
-        kernels.append(_record_from_values(values, i))
+    kernels = _records_from_objects(
+        doc["kernels"], "kernels[{}]",
+        "profile document: kernels[{}] must be a mapping")
     plan = doc.get("plan") or []
     if not (isinstance(plan, list) and all(isinstance(op, Mapping) for op in plan)):
         raise SchemaError("profile document: plan must be a list of mappings")
@@ -423,8 +473,37 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
     )
 
 
+# One kernel object as json.dumps(..., indent=2) lays it out in "kernels".
+_KERNEL_JSON = (
+    '    {{\n'
+    '      "kernel_name": {},\n'
+    '      "duration_ns": {},\n'
+    '      "dram_bytes": {},\n'
+    '      "l2_requests": {},\n'
+    '      "int_ops": {}\n'
+    '    }}').format
+
+
 def write_profile_json(profile: QueryProfile) -> str:
-    return json.dumps(profile_to_dict(profile), indent=2) + "\n"
+    """json.dumps(profile_to_dict(profile), indent=2) + "\\n", byte for byte.
+
+    json.dumps with indent encodes in pure Python, so the kernels, most of a
+    wide profile, go through one fixed template instead. KernelRecord keeps
+    durations finite in nanoseconds, and for a finite float json.dumps
+    writes float.__repr__.
+    """
+    head = json.dumps(_header_dict(profile), indent=2)[:-2]   # drop "\n}"
+    kernels = ",\n".join([
+        _KERNEL_JSON(encode_basestring_ascii(k.kernel_name),
+                     float.__repr__(k.duration * NS_PER_S),
+                     int.__repr__(k.dram_bytes), int.__repr__(k.l2_requests),
+                     int.__repr__(k.int_ops))
+        for k in profile.kernels])
+    kernels = f"[\n{kernels}\n  ]" if kernels else "[]"
+    # JSON strings hold no raw newline, so this indents the plan one level.
+    plan = json.dumps([dict(op) for op in profile.plan], indent=2)
+    plan = plan.replace("\n", "\n  ")
+    return f'{head},\n  "kernels": {kernels},\n  "plan": {plan}\n}}\n'
 
 
 def read_profile_json(text: str) -> QueryProfile:

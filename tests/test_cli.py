@@ -69,6 +69,73 @@ def test_ingest_missing_column_exits_2_and_names_it(tmp_path, capsys):
     assert "dram_bytes" in err
 
 
+CSV_HEADER = "kernel_name,duration_ns,dram_bytes,l2_requests,int_ops\n"
+JSON_ROW = {"kernel_name": "k0", "duration_ns": 1000, "dram_bytes": 1,
+            "l2_requests": 1, "int_ops": 1}
+
+
+BAD_COUNTER_FILES = [
+    ("inf.csv", CSV_HEADER + "k0,1000,1,1,1\nk1,inf,1,1,1\n",
+     "row 3: column 'duration_ns': non-finite value"),
+    ("nan.csv", CSV_HEADER + "k0,nan,1,1,1\n",
+     "row 2: column 'duration_ns': non-finite value"),
+    ("huge.json", json.dumps([JSON_ROW, dict(JSON_ROW, dram_bytes=10**400)]),
+     "row 2: column 'dram_bytes': too large for a float"),
+    ("per_cycle.csv",
+     "kernel_name,duration_ns,dram_bytes,l2_requests,int_ops_per_cycle,cycles\n"
+     "k0,1000,1,1,1e300,1e10\n",
+     "row 2: column 'int_ops_per_cycle'"),
+    ("bool.json", json.dumps([dict(JSON_ROW, dram_bytes=True)]),
+     "row 1: column 'dram_bytes': not a number: True"),
+    ("bool_duration.json", json.dumps([dict(JSON_ROW, duration_ns=True)]),
+     "row 1: column 'duration_ns': not a number: True"),
+    ("fraction.csv", CSV_HEADER + "k0,1000,1,2.5,1\n",
+     "row 2: column 'l2_requests': not an integer: '2.5'"),
+]
+
+
+@pytest.mark.parametrize("name, text, named", BAD_COUNTER_FILES,
+                         ids=[case[0] for case in BAD_COUNTER_FILES])
+def test_ingest_bad_counter_value_exits_2_naming_row_and_column(
+        tmp_path, capsys, name, text, named):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "profile.json"
+    code = main(["ingest", "--input", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan])
+def test_profile_with_non_finite_duration_exits_2(tmp_path, capsys, duration):
+    path = write_profile(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["kernels"][0]["duration_ns"] = duration
+    path.write_text(json.dumps(doc))    # Infinity / NaN, which json.loads takes
+    for command in ("predict", "roofline"):
+        code = main([command, "--profile", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "row 1: column 'duration_ns': non-finite value" in err
+        assert "Traceback" not in err
+
+
+def test_profile_whose_totals_overflow_a_float_exits_2(tmp_path, capsys):
+    # Each count fits a float; their sum does not.
+    path = tmp_path / "counters.json"
+    path.write_text(json.dumps([dict(JSON_ROW, dram_bytes=10**308)] * 2))
+    profile = tmp_path / "profile.json"
+    assert main(["ingest", "--input", str(path), "--out", str(profile)]) == 0
+    code = main(["predict", "--profile", str(profile), "--mig", "1g.5gb"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "a kernel total is too large for a float" in err
+    assert "Traceback" not in err
+
+
 def test_ingest_nonexistent_path_exits_1(tmp_path, capsys):
     code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
     assert code == 1
@@ -259,6 +326,8 @@ def shared_catalog(**fields) -> list:
      "peak_compute_bw must be finite and > 0, got inf"),
     ("predict", {"peak_dram_gbps": "fast"}, "peak_dram_gbps must be a number"),
     ("predict", {"sm_count": 1.5}, "sm_count must be an integer"),
+    ("predict", {"sm_count": True}, "sm_count must be an integer, got True"),
+    ("predict", {"peak_dram_gbps": True}, "peak_dram_gbps must be a number"),
     ("predict", {"l2_request_bytes": 128.5},
      "l2_request_bytes must be an integer"),
     ("advise", {"mig_catalog": shared_catalog(shared_memory="false")},
@@ -312,6 +381,7 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     ({"doc": "two"}, "doc must be"),
     ({"queries": 5}, "queries must be"),
     ({"dispatch_count": "many"}, "dispatch_count must be"),
+    ({"doc": True}, "doc must be an integer, got True"),
     ({"seed": [1]}, "seed must be"),
 ])
 def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
@@ -335,6 +405,8 @@ def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
     ({"scale_factor": "abc"}, "scale_factor must be a number"),
     ({"scale_factor": float("inf")}, "scale_factor must be finite"),
     ({"transfer_in_bytes": 2.5}, "transfer_in_bytes must be an integer"),
+    ({"transfer_in_bytes": 10**400}, "transfer_in_bytes must be an integer"),
+    ({"scale_factor": True}, "scale_factor must be a number, got True"),
     ({"l2_hit_rate": [0.5]}, "l2_hit_rate must be a number"),
     ({"kernels": [5]}, "kernels[1] must be a mapping"),
     ({"kernels": "k0"}, "kernels must be a list"),

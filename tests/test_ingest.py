@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from roofcast.errors import (
     SchemaError,
     ValidationError,
 )
+from roofcast import ingest
 from roofcast.ingest import (
+    NS_PER_S,
     KernelRecord,
     QueryProfile,
     aggregate,
@@ -107,6 +110,49 @@ def test_parse_json_array():
              "l2_requests": 2, "int_ops": 3}]
     records = parse_counter_file(io.BytesIO(json.dumps(rows).encode()), "json")
     assert records == [KernelRecord("k0", 1e-6, 1, 2, 3)]
+
+
+ROW = {"kernel_name": "k0", "duration_ns": 1000, "dram_bytes": 1,
+       "l2_requests": 2, "int_ops": 3}
+# The same columns under their raw profiler names, in another order.
+RAW_ROW = {"smsp__sass_thread_inst_executed_op_integer_pred_on.sum": 3,
+           "Kernel Name": "k0", "dram__bytes.sum": 1,
+           "lts__t_requests_srcunit_tex_op_read.sum": 2,
+           "gpu__time_duration.sum": 1000}
+
+
+def test_columns_resolved_once_per_key_layout(monkeypatch):
+    calls = []
+    resolve = ingest._canonical_columns
+
+    def counting(names, context):
+        calls.append(context)
+        return resolve(names, context)
+
+    monkeypatch.setattr(ingest, "_canonical_columns", counting)
+    rows = [ROW, RAW_ROW] * 50 + [dict(ROW, launch_id=7)]
+    records = parse_counter_file(io.BytesIO(json.dumps(rows).encode()), "json")
+    assert records == [KernelRecord("k0", 1e-6, 1, 2, 3)] * 101
+    assert calls == ["row 1", "row 2", "row 101"]
+
+    calls.clear()
+    doc = profile_to_dict(make_profile(records))
+    assert profile_from_dict(doc).kernels == tuple(records)
+    assert calls == ["kernels[1]"]
+
+
+def test_kernel_with_its_own_incomplete_layout_is_named():
+    doc = profile_to_dict(make_profile([KernelRecord("k", 1e-3, 1, 1, 1)] * 20))
+    del doc["kernels"][16]["dram_bytes"]
+    with pytest.raises(SchemaError, match=r"kernels\[17\].*dram_bytes"):
+        profile_from_dict(doc)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1e-3, math.inf, math.nan, 1e300])
+def test_kernel_duration_must_be_finite_and_positive(duration):
+    # 1e300 s overflows to inf in the nanoseconds a profile stores.
+    with pytest.raises(ValidationError, match="duration must be finite and > 0"):
+        KernelRecord("k", duration, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +285,35 @@ def test_profile_json_roundtrip():
     text = write_profile_json(profile)
     loaded = read_profile_json(text)
     assert loaded == profile
+
+
+# Every reader makes a duration as duration_ns / NS_PER_S, and those survive
+# the trip through nanoseconds exactly; an arbitrary number of seconds need
+# not (30474099328243.617 s comes back as 30474099328243.613 s).
+durations = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) \
+    .map(lambda ns: ns / NS_PER_S).filter(lambda s: s > 0)
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\u6f22\U0001f600'),
+    st.characters()))
+counts = st.integers(min_value=0, max_value=2**70)
+any_kernel = st.builds(KernelRecord, kernel_name=json_text, duration=durations,
+                       dram_bytes=counts, l2_requests=counts, int_ops=counts)
+plan_value = st.one_of(st.none(), st.booleans(), counts, json_text,
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.lists(counts, max_size=2))
+any_profile = st.builds(
+    make_profile, st.lists(any_kernel, max_size=4), query_id=json_text,
+    system=json_text, scale_factor=st.floats(min_value=1e-3, max_value=1e3),
+    cpu_overhead=st.floats(min_value=0, max_value=10), transfer_in_bytes=counts,
+    dram_utilization=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1)),
+    plan=st.lists(st.dictionaries(json_text, plan_value, max_size=3), max_size=3))
+
+
+@given(any_profile)
+def test_write_profile_json_is_indented_json_dumps(profile):
+    text = write_profile_json(profile)
+    assert text == json.dumps(profile_to_dict(profile), indent=2) + "\n"
+    assert read_profile_json(text) == profile
 
 
 def test_profile_json_rejects_unknown_and_wrong_version():
