@@ -326,8 +326,6 @@ def shared_catalog(**fields) -> list:
      "peak_compute_bw must be finite and > 0, got inf"),
     ("predict", {"peak_dram_gbps": "fast"}, "peak_dram_gbps must be a number"),
     ("predict", {"sm_count": 1.5}, "sm_count must be an integer"),
-    ("predict", {"sm_count": True}, "sm_count must be an integer, got True"),
-    ("predict", {"peak_dram_gbps": True}, "peak_dram_gbps must be a number"),
     ("predict", {"l2_request_bytes": 128.5},
      "l2_request_bytes must be an integer"),
     ("advise", {"mig_catalog": shared_catalog(shared_memory="false")},
@@ -341,6 +339,8 @@ def shared_catalog(**fields) -> list:
                     "l2_bw": 1.0, "mem_capacity": 1.0}])},
      "mig_catalog[0].instances[0].compute must be a number"),
     ("predict", {1: "one", None: "none"}, "unknown keys [1, None]"),
+    ("predict", {"sm_count": True}, "sm_count must be an integer, got True"),
+    ("predict", {"peak_dram_gbps": True}, "peak_dram_gbps must be a number"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
@@ -381,8 +381,8 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     ({"doc": "two"}, "doc must be"),
     ({"queries": 5}, "queries must be"),
     ({"dispatch_count": "many"}, "dispatch_count must be"),
-    ({"doc": True}, "doc must be an integer, got True"),
     ({"seed": [1]}, "seed must be"),
+    ({"doc": True}, "doc must be an integer, got True"),
 ])
 def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
                                                      fields, named):
@@ -405,12 +405,12 @@ def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
     ({"scale_factor": "abc"}, "scale_factor must be a number"),
     ({"scale_factor": float("inf")}, "scale_factor must be finite"),
     ({"transfer_in_bytes": 2.5}, "transfer_in_bytes must be an integer"),
-    ({"transfer_in_bytes": 10**400}, "transfer_in_bytes must be an integer"),
-    ({"scale_factor": True}, "scale_factor must be a number, got True"),
     ({"l2_hit_rate": [0.5]}, "l2_hit_rate must be a number"),
     ({"kernels": [5]}, "kernels[1] must be a mapping"),
     ({"kernels": "k0"}, "kernels must be a list"),
     ({"plan": [3]}, "plan must be a list of mappings"),
+    ({"transfer_in_bytes": 10**400}, "transfer_in_bytes must be an integer"),
+    ({"scale_factor": True}, "scale_factor must be a number, got True"),
 ])
 def test_malformed_inline_profile_exits_2_naming_the_field(tmp_path, capsys,
                                                           fields, named):
