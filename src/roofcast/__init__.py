@@ -51,17 +51,13 @@ from .scaling import (
     Prediction,
     linear_baseline,
     predict_time_mem,
-    slowdown_compute,
     slowdown_mem,
     slowdown_unified,
 )
 from .concurrency import (
-    ProcessPlan,
     WorkloadSpec,
     equal_split_config,
     estimate_qps,
-    exec_time_concurrent,
-    exec_time_process,
     simulate_dispatch,
 )
 from .advisor import Objective, WhatIfReport, advise, enumerate_configs, scaling_curve

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -80,9 +81,12 @@ class RunManifest:
     tool_version: str = __version__
     outputs: list[str] = field(default_factory=list)
 
-    def add_input(self, path: str | Path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.input_digests[str(path)] = digest
+    def read(self, path: str | Path) -> bytes:
+        """An input file's bytes, digested as they are read: the digest is
+        always of the bytes the run parsed."""
+        data = Path(path).read_bytes()
+        self.input_digests[str(path)] = hashlib.sha256(data).hexdigest()
+        return data
 
     def to_dict(self) -> dict:
         return {
@@ -104,8 +108,7 @@ def _resolve_hw(args, manifest: RunManifest) -> HardwareSpec:
     path = getattr(args, "hw", None) or os.environ.get(HW_ENV_VAR)
     if path:
         manifest.hardware_spec = str(path)
-        manifest.add_input(path)
-        return load_hardware_spec(path)
+        return load_hardware_spec(path, read=manifest.read)
     return default_hardware_spec()
 
 
@@ -188,8 +191,7 @@ def cmd_ingest(args) -> int:
 
 
 def _load_profile(path: str, manifest: RunManifest) -> QueryProfile:
-    manifest.add_input(path)
-    return read_profile_json(Path(path).read_text(encoding="utf-8"))
+    return read_profile_json(manifest.read(path).decode("utf-8"))
 
 
 def cmd_roofline(args) -> int:
@@ -197,30 +199,26 @@ def cmd_roofline(args) -> int:
     profile = _load_profile(args.profile, manifest)
     hw = _resolve_hw(args, manifest)
     metrics = aggregate(profile, hw)
-    alloc = full_allocation()
-    levels = {}
-    for level in (MemLevel.DRAM, MemLevel.L2):
-        ceilings = build_ceilings(hw, alloc, level)
-        point = place_point(metrics, level, profile.query_id)
-        levels[level.value] = {
-            "mem_bw": ceilings.mem_bw,
-            "compute_bw": ceilings.compute_bw,
-            "knee_ai": ceilings.knee_ai,
-            "ai": point.ai,
-            "throughput": point.throughput,
-        }
-    if args.plot:
-        manifest.outputs.append(args.plot)
+    roofs = {level: (build_ceilings(hw, full_allocation(), level),
+                     place_point(metrics, level, profile.query_id))
+             for level in (MemLevel.DRAM, MemLevel.L2)}
     payload = {
         "query_id": profile.query_id,
         "bound": classify(metrics, hw).value,
-        "levels": levels,
+        "levels": {
+            level.value: {
+                "mem_bw": ceilings.mem_bw,
+                "compute_bw": ceilings.compute_bw,
+                "knee_ai": ceilings.knee_ai,
+                "ai": point.ai,
+                "throughput": point.throughput,
+            }
+            for level, (ceilings, point) in roofs.items()},
         "warnings": validate_against_roofs(metrics, hw),
     }
     if args.plot:
-        level = MemLevel(args.level)
-        ceilings = build_ceilings(hw, alloc, level)
-        point = place_point(metrics, level, profile.query_id)
+        manifest.outputs.append(args.plot)
+        ceilings, point = roofs[MemLevel(args.level)]
         with open(args.plot, "wb") as sink:
             emit_plot_data([point], ceilings, sink)
     _emit_report(payload, manifest, args.out)
@@ -277,9 +275,8 @@ def cmd_predict(args) -> int:
 
 def cmd_concurrency(args) -> int:
     manifest = RunManifest(command="concurrency")
-    manifest.add_input(args.workload)
     hw = _resolve_hw(args, manifest)
-    workload = load_workload(args.workload)
+    workload = load_workload(args.workload, read=manifest.read)
     if args.doc is not None:
         workload = replace(workload, doc=args.doc)
     if args.seed is not None:
@@ -314,9 +311,8 @@ def cmd_concurrency(args) -> int:
 
 def cmd_advise(args) -> int:
     manifest = RunManifest(command="advise")
-    manifest.add_input(args.workload)
     hw = _resolve_hw(args, manifest)
-    workload = load_workload(args.workload)
+    workload = load_workload(args.workload, read=manifest.read)
     objective = Objective(args.objective)
     report = advise(workload, hw, objective)
     if args.table:
@@ -336,9 +332,7 @@ def cmd_advise(args) -> int:
 def cmd_eval(args) -> int:
     manifest = RunManifest(command="eval")
     if args.samples:
-        manifest.add_input(args.samples)
-        with open(args.samples, "rb") as stream:
-            samples = read_samples_csv(stream)
+        samples = read_samples_csv(io.BytesIO(manifest.read(args.samples)))
         cdf = error_cdf(samples)
         payload = {"n_samples": len(samples), "cdf": cdf.to_dict()}
         _emit_report(payload, manifest, args.out)

@@ -1,10 +1,11 @@
 """End-to-end execution time and throughput across concurrent GPU instances.
 
-A process's per-query time layers CPU-side overheads on top of the scaled
-GPU time; setup and host-to-device transfer are one-time costs. Concurrent
-processes finish when the longest one does. Workload throughput comes in
-two independent flavors: a closed-form estimate from per-instance service
-rates, and a seeded discrete-event simulation of a randomized dispatcher.
+A query's warm time is its scaled GPU time plus its per-query CPU
+overhead. Each instance serves its queries back to back, so a run's
+makespan is the busy time of the busiest instance. Workload throughput
+comes in two independent flavors: a closed-form estimate from per-instance
+service rates, and a seeded discrete-event simulation of a randomized
+dispatcher.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from heapq import heapreplace
 from itertools import accumulate, islice
 from operator import add
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping
 
 from .core import (
     HardwareSpec,
@@ -27,7 +28,7 @@ from .core import (
     ResourceAllocation,
     allocation_of,
 )
-from .errors import SchemaError, ValidationError, coerce
+from .errors import SchemaError, ValidationError, check_schema_version, coerce
 from .ingest import (
     AggregateMetrics,
     QueryProfile,
@@ -38,21 +39,6 @@ from .ingest import (
 from .scaling import slowdown_unified
 
 WORKLOAD_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ProcessPlan:
-    """What one GPU process runs: a query, its slice, and repetition count."""
-
-    profile: QueryProfile
-    allocation: ResourceAllocation
-    include_cold_costs: bool = False
-    repetitions: int = 1
-
-    def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValidationError(
-                f"repetitions must be >= 1, got {self.repetitions}")
 
 
 @dataclass(frozen=True)
@@ -94,25 +80,6 @@ def _warm_time(profile: QueryProfile, metrics: AggregateMetrics,
     """warm_query_time of a profile whose aggregate is already known."""
     prediction = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
     return prediction.predicted_time + profile.cpu_overhead
-
-
-def cold_costs(profile: QueryProfile, hw: HardwareSpec) -> float:
-    """One-time setup plus host-to-device transfer; the link is unpartitioned."""
-    return profile.setup_overhead + profile.transfer_in_bytes / hw.host_link_bw
-
-
-def exec_time_process(plan: ProcessPlan, hw: HardwareSpec) -> float:
-    """Total time for one process to run its repetitions."""
-    per_rep = warm_query_time(plan.profile, hw, plan.allocation)
-    one_time = cold_costs(plan.profile, hw) if plan.include_cold_costs else 0.0
-    return one_time + plan.repetitions * per_rep
-
-
-def exec_time_concurrent(plans: Sequence[ProcessPlan], hw: HardwareSpec) -> float:
-    """End-to-end time of concurrent processes: the longest one decides."""
-    if not plans:
-        raise ValidationError("exec_time_concurrent needs at least one plan")
-    return max(exec_time_process(p, hw) for p in plans)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +275,13 @@ def equal_split_config(doc: int, mps: bool = False) -> PartitionConfig:
 _WORKLOAD_KEYS = {"schema_version", "queries", "doc", "dispatch_count", "seed"}
 
 
-def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSpec:
-    """Build a WorkloadSpec; query profiles may be inline or file paths."""
+def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
+                       read: Callable[[Path], bytes] = Path.read_bytes
+                       ) -> WorkloadSpec:
+    """Build a WorkloadSpec; query profiles may be inline or file paths.
+
+    Profile files are read with `read`, relative paths from base_dir.
+    """
     if not isinstance(doc, Mapping):
         raise SchemaError("workload document must be a mapping")
     unknown = set(doc) - _WORKLOAD_KEYS
@@ -318,10 +290,7 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSp
     missing = {"schema_version", "queries", "doc"} - set(doc)
     if missing:
         raise SchemaError(f"workload document: missing keys {sorted(missing)}")
-    if doc["schema_version"] != WORKLOAD_SCHEMA_VERSION:
-        raise SchemaError(
-            f"workload document: unsupported schema_version "
-            f"{doc['schema_version']!r}")
+    check_schema_version(doc, WORKLOAD_SCHEMA_VERSION, "workload document")
     if not isinstance(doc["queries"], list):
         raise SchemaError("workload document: queries must be a list")
     queries = []
@@ -336,7 +305,7 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSp
             path = Path(raw_profile)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            profile = read_profile_json(path.read_text(encoding="utf-8"))
+            profile = read_profile_json(read(path).decode("utf-8"))
         elif isinstance(raw_profile, Mapping):
             profile = profile_from_dict(raw_profile)
         else:
@@ -354,10 +323,14 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None) -> WorkloadSp
     )
 
 
-def load_workload(path: str | Path) -> WorkloadSpec:
+def load_workload(path: str | Path,
+                  read: Callable[[Path], bytes] = Path.read_bytes
+                  ) -> WorkloadSpec:
+    """Load a workload document and the profile files it names, each file
+    read once with `read`."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid workload JSON: {exc}") from exc
-    return workload_from_dict(doc, base_dir=path.parent)
+    return workload_from_dict(doc, base_dir=path.parent, read=read)

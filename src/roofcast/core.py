@@ -12,11 +12,17 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import yaml
 
-from .errors import ConfigError, SchemaError, ValidationError, coerce
+from .errors import (
+    ConfigError,
+    SchemaError,
+    ValidationError,
+    check_schema_version,
+    coerce,
+)
 
 GB = 1e9
 GOPS = 1e9
@@ -266,12 +272,15 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
     missing = _HW_REQUIRED - set(doc)
     if missing:
         raise SchemaError(f"hardware spec: missing keys {sorted(missing)}")
-    if doc["schema_version"] != HW_SCHEMA_VERSION:
-        raise SchemaError(
-            f"hardware spec: unsupported schema_version {doc['schema_version']!r}")
+    check_schema_version(doc, HW_SCHEMA_VERSION, "hardware spec")
 
     def number(key: str, scale: float) -> float:
-        return coerce(doc[key], float, key) * scale
+        # Checked here too, so the message names the key the user wrote;
+        # HardwareSpec only knows the converted field.
+        value = coerce(doc[key], float, key)
+        if not 0 < value * scale < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        return value * scale
 
     return HardwareSpec(
         name=str(doc["name"]),
@@ -288,9 +297,12 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
     )
 
 
-def load_hardware_spec(path: str | Path) -> HardwareSpec:
-    """Load a hardware spec (and its partition catalog) from a YAML file."""
-    text = Path(path).read_text(encoding="utf-8")
+def load_hardware_spec(path: str | Path,
+                       read: Callable[[Path], bytes] = Path.read_bytes
+                       ) -> HardwareSpec:
+    """Load a hardware spec (and its partition catalog) from a YAML file,
+    read once with `read`."""
+    text = read(Path(path)).decode("utf-8")
     try:
         doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
                                               yaml.SafeLoader))

@@ -47,6 +47,14 @@ def integral(value: object) -> int:
     return int(value) if isinstance(value, int) else int(number)
 
 
+def check_schema_version(doc, expected: int, context: str) -> None:
+    """A SchemaError unless doc["schema_version"] is `expected`; true is
+    not 1."""
+    version = doc["schema_version"]
+    if version.__class__ is bool or version != expected:
+        raise SchemaError(f"{context}: unsupported schema_version {version!r}")
+
+
 def coerce(value, cast: type[int] | type[float], field: str):
     """value as a float or an int, or a SchemaError that names the field.
 

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     SchemaError,
     ValidationError,
+    check_schema_version,
     coerce,
     integral,
 )
@@ -352,6 +353,12 @@ def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
             f"profile {profile.query_id!r}: zero bytes at "
             f"{'DRAM' if total_dram == 0 else 'L2'} level; "
             "arithmetic intensity undefined")
+    # A kernel duration can be positive and finite yet so short that the
+    # attained rates overflow; the largest total over it is the largest rate.
+    if not max(total_ops, total_dram, total_l2) / total_duration < math.inf:
+        raise ValidationError(
+            f"profile {profile.query_id!r}: attained rates are not finite; "
+            f"total duration {total_duration} s is too short for its counters")
     return AggregateMetrics(
         total_duration=total_duration,
         total_dram_bytes=total_dram,
@@ -438,10 +445,7 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
                "kernels"} - set(doc)
     if missing:
         raise SchemaError(f"profile document: missing keys {sorted(missing)}")
-    if doc["schema_version"] != PROFILE_SCHEMA_VERSION:
-        raise SchemaError(
-            f"profile document: unsupported schema_version "
-            f"{doc['schema_version']!r}")
+    check_schema_version(doc, PROFILE_SCHEMA_VERSION, "profile document")
     if not isinstance(doc["kernels"], list):
         raise SchemaError("profile document: kernels must be a list")
     kernels = _records_from_objects(

@@ -76,13 +76,6 @@ def slowdown_mem(m: AggregateMetrics, t: float, level: MemLevel,
     return predict_time_mem(m, t, level, new_bw) / t
 
 
-def slowdown_compute(ratio: float) -> float:
-    """Reciprocal scaling with the compute allocation ratio (SM count)."""
-    if not ratio > 0:
-        raise ValidationError(f"compute allocation ratio must be > 0, got {ratio}")
-    return 1.0 / ratio
-
-
 def linear_baseline(t: float, ratio: float) -> float:
     """Naive all-resources-linear reference model: t over the compute ratio."""
     if not ratio > 0:

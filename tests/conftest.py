@@ -30,8 +30,7 @@ def metrics_from_utils(hw: HardwareSpec, util_compute: float, util_dram: float,
 
 def profile_from_utils(hw: HardwareSpec, util_compute: float, util_dram: float,
                        util_l2: float, t0: float = 0.1, query_id: str = "q",
-                       cpu_overhead: float = 0.0, setup_overhead: float = 0.0,
-                       transfer_in_bytes: int = 0) -> QueryProfile:
+                       cpu_overhead: float = 0.0) -> QueryProfile:
     """Single-kernel profile hitting the target utilizations (to int rounding)."""
     kernel = KernelRecord(
         kernel_name=f"{query_id}-k0",
@@ -46,6 +45,4 @@ def profile_from_utils(hw: HardwareSpec, util_compute: float, util_dram: float,
         scale_factor=1.0,
         kernels=(kernel,),
         cpu_overhead=cpu_overhead,
-        setup_overhead=setup_overhead,
-        transfer_in_bytes=transfer_in_bytes,
     )

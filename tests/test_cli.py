@@ -136,6 +136,22 @@ def test_profile_whose_totals_overflow_a_float_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_profile_whose_rates_overflow_a_float_exits_2(tmp_path, capsys):
+    # Every count and the duration are finite; ops per second is not.
+    path = tmp_path / "counters.json"
+    path.write_text(json.dumps([dict(JSON_ROW, duration_ns=1e-300,
+                                     int_ops=10**18)]))
+    profile = tmp_path / "profile.json"
+    assert main(["ingest", "--input", str(path), "--query-id", "tiny",
+                 "--out", str(profile)]) == 0
+    for argv in (["roofline"], ["predict", "--mig", "1g.5gb"]):
+        code = main([*argv, "--profile", str(profile)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "profile 'tiny': attained rates are not finite" in err
+        assert "Traceback" not in err
+
+
 def test_ingest_nonexistent_path_exits_1(tmp_path, capsys):
     code = main(["ingest", "--input", str(tmp_path / "missing.csv")])
     assert code == 1
@@ -307,6 +323,25 @@ def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):
     assert report["manifest"]["hardware_spec"] == str(hw_yaml)
 
 
+@pytest.mark.parametrize("command", ["concurrency", "advise"])
+def test_manifest_digests_the_profiles_a_workload_names(tmp_path, capsys,
+                                                         command):
+    profile = write_profile(tmp_path)
+    argv = [command, "--workload", str(write_workload(tmp_path, profile))]
+    if command == "advise":
+        argv += ["--objective", "max-throughput"]
+    code, before = run(capsys, *argv)
+    assert code == 0
+    write_profile(tmp_path, t0=0.07)
+    code, after = run(capsys, *argv)
+    assert code == 0
+    before, after = json.loads(before), json.loads(after)
+    digests = (before["manifest"]["input_digests"][str(profile)],
+               after["manifest"]["input_digests"][str(profile)])
+    assert digests[0] != digests[1]
+    assert before["manifest_hash"] != after["manifest_hash"]
+
+
 def shared_catalog(**fields) -> list:
     """One config of two half-compute slices that each see all the memory."""
     half = {"name": "half", "compute": 0.5, "dram_bw": 1.0, "l2_bw": 1.0,
@@ -317,13 +352,13 @@ def shared_catalog(**fields) -> list:
 
 @pytest.mark.parametrize("command, fields, named", [
     ("roofline", {"peak_l2_gbps": math.inf},
-     "peak_l2_bw must be finite and > 0, got inf"),
+     "peak_l2_gbps must be finite and > 0, got inf"),
     ("predict", {"peak_l2_gbps": math.inf},
-     "peak_l2_bw must be finite and > 0, got inf"),
+     "peak_l2_gbps must be finite and > 0, got inf"),
     ("roofline", {"peak_compute_gops": math.inf},
-     "peak_compute_bw must be finite and > 0, got inf"),
+     "peak_compute_gops must be finite and > 0, got inf"),
     ("predict", {"peak_compute_gops": math.inf},
-     "peak_compute_bw must be finite and > 0, got inf"),
+     "peak_compute_gops must be finite and > 0, got inf"),
     ("predict", {"peak_dram_gbps": "fast"}, "peak_dram_gbps must be a number"),
     ("predict", {"sm_count": 1.5}, "sm_count must be an integer"),
     ("predict", {"l2_request_bytes": 128.5},
@@ -341,6 +376,7 @@ def shared_catalog(**fields) -> list:
     ("predict", {1: "one", None: "none"}, "unknown keys [1, None]"),
     ("predict", {"sm_count": True}, "sm_count must be an integer, got True"),
     ("predict", {"peak_dram_gbps": True}, "peak_dram_gbps must be a number"),
+    ("predict", {"schema_version": True}, "unsupported schema_version True"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
@@ -383,6 +419,7 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     ({"dispatch_count": "many"}, "dispatch_count must be"),
     ({"seed": [1]}, "seed must be"),
     ({"doc": True}, "doc must be an integer, got True"),
+    ({"schema_version": True}, "unsupported schema_version True"),
 ])
 def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
                                                      fields, named):
@@ -411,6 +448,7 @@ def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
     ({"plan": [3]}, "plan must be a list of mappings"),
     ({"transfer_in_bytes": 10**400}, "transfer_in_bytes must be an integer"),
     ({"scale_factor": True}, "scale_factor must be a number, got True"),
+    ({"schema_version": True}, "unsupported schema_version True"),
 ])
 def test_malformed_inline_profile_exits_2_naming_the_field(tmp_path, capsys,
                                                           fields, named):

@@ -3,18 +3,13 @@ import json
 import random
 import sys
 import tracemalloc
-import warnings
 
 import pytest
 
 from roofcast.concurrency import (
-    ProcessPlan,
     WorkloadSpec,
-    cold_costs,
     equal_split_config,
     estimate_qps,
-    exec_time_concurrent,
-    exec_time_process,
     instance_times,
     load_workload,
     simulate_dispatch,
@@ -39,79 +34,11 @@ COMPUTE_BOUND = dict(util_compute=0.6, util_dram=0.25, util_l2=0.3)
 SATURATED = dict(util_compute=0.1, util_dram=1.0, util_l2=0.4)
 
 
-def test_exec_time_process_warm_single_repetition():
-    profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.05, cpu_overhead=0.01)
-    plan = ProcessPlan(profile, full_allocation())
-    assert exec_time_process(plan, HW) == pytest.approx(0.06, rel=1e-9)
-
-
-def test_exec_time_process_cold_adds_setup_and_transfer():
-    profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.05,
-                                 cpu_overhead=0.01, setup_overhead=0.2,
-                                 transfer_in_bytes=32 * 10**9)
-    warm = ProcessPlan(profile, full_allocation())
-    cold = ProcessPlan(profile, full_allocation(), include_cold_costs=True)
-    # 32 GB over the 32 GB/s host link costs exactly one second, once
-    assert cold_costs(profile, HW) == pytest.approx(1.2, rel=1e-12)
-    assert exec_time_process(cold, HW) - exec_time_process(warm, HW) == \
-        pytest.approx(1.2, rel=1e-9)
-
-
-def test_exec_time_process_repetitions_multiply_only_warm_part():
-    profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.05,
-                                 cpu_overhead=0.01, setup_overhead=0.3)
-    plan = ProcessPlan(profile, full_allocation(), include_cold_costs=True,
-                       repetitions=10)
-    assert exec_time_process(plan, HW) == pytest.approx(0.3 + 10 * 0.06, rel=1e-9)
-
-
-def test_exec_time_process_halved_compute_scales_only_gpu_term():
+def test_warm_query_time_halved_compute_scales_only_gpu_term():
     profile = profile_from_utils(HW, **COMPUTE_BOUND, t0=0.05, cpu_overhead=0.01)
-    half = ProcessPlan(profile, ResourceAllocation(0.5, 1.0, 1.0, 1.0))
-    assert exec_time_process(half, HW) == pytest.approx(0.05 * 2 + 0.01, rel=1e-9)
-
-
-def test_exec_time_concurrent_is_max():
-    base = profile_from_utils(HW, **UNDER_UTILIZED, t0=1.0)
-    alloc = ResourceAllocation(0.25, 0.25, 0.25, 0.25)
-    plans = [ProcessPlan(base, alloc, repetitions=r) for r in (3, 5, 4)]
-    assert exec_time_concurrent(plans, HW) == exec_time_process(plans[1], HW)
-
-    single = [ProcessPlan(base, alloc)]
-    assert exec_time_concurrent(single, HW) == exec_time_process(single[0], HW)
-
-
-def test_exec_time_concurrent_random_lists_match_componentwise_max():
-    rng = random.Random(11)
-    profiles = [profile_from_utils(HW, rng.uniform(0.05, 0.5),
-                                   rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
-                                   t0=rng.uniform(0.01, 0.2), query_id=f"q{i}")
-                for i in range(6)]
-    for _ in range(200):
-        k = rng.randint(1, 5)
-        f = 1.0 / k
-        plans = [ProcessPlan(rng.choice(profiles),
-                             ResourceAllocation(f, f, f, f),
-                             repetitions=rng.randint(1, 4))
-                 for _ in range(k)]
-        expected = max(exec_time_process(p, HW) for p in plans)
-        assert exec_time_concurrent(plans, HW) == expected
-
-
-def test_exec_time_concurrent_empty_and_infeasible():
-    with pytest.raises(ValidationError):
-        exec_time_concurrent([], HW)
-
-
-def test_exec_time_concurrent_mps_plans_do_not_warn():
-    # MPS-style plans split compute and share memory by design.
-    profile = profile_from_utils(HW, **UNDER_UTILIZED)
-    plans = [ProcessPlan(profile, ResourceAllocation(0.5, 1.0, 1.0, 1.0))
-             for _ in range(2)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert exec_time_concurrent(plans, HW) == \
-            exec_time_process(plans[0], HW)
+    half = ResourceAllocation(0.5, 1.0, 1.0, 1.0)
+    assert warm_query_time(profile, HW, half) == \
+        pytest.approx(0.05 * 2 + 0.01, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

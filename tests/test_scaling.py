@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roofcast.core import ResourceAllocation, default_hardware_spec, full_allocation
-from roofcast.errors import ValidationError
 from roofcast.roofline import BoundKind, MemLevel
 from roofcast.scaling import (
     Confidence,
     Direction,
     linear_baseline,
     predict_time_mem,
-    slowdown_compute,
     slowdown_mem,
     slowdown_unified,
 )
@@ -66,14 +64,6 @@ def test_slowdown_mem_values():
     # quartered bandwidth on a 50%-utilized query: 2x, not 4x
     assert slowdown_mem(half_util, 0.2, MemLevel.DRAM,
                         HW.peak_dram_bw / 4) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_slowdown_compute_reciprocal():
-    assert slowdown_compute(0.5) == 2.0
-    assert slowdown_compute(1.0) == 1.0
-    assert slowdown_compute(0.25) == 4.0
-    with pytest.raises(ValidationError):
-        slowdown_compute(0.0)
 
 
 def test_linear_baseline():
