@@ -34,7 +34,7 @@ from .core import (
     full_allocation,
     load_hardware_spec,
 )
-from .errors import InternalInvariantError, ValidationError
+from .errors import InternalInvariantError, ValidationError, utf8_text
 from .evalkit import (
     ErrorSample,
     error_cdf,
@@ -191,7 +191,7 @@ def cmd_ingest(args) -> int:
 
 
 def _load_profile(path: str, manifest: RunManifest) -> QueryProfile:
-    return read_profile_json(manifest.read(path).decode("utf-8"))
+    return read_profile_json(utf8_text(manifest.read(path), path))
 
 
 def cmd_roofline(args) -> int:
@@ -332,7 +332,8 @@ def cmd_advise(args) -> int:
 def cmd_eval(args) -> int:
     manifest = RunManifest(command="eval")
     if args.samples:
-        samples = read_samples_csv(io.BytesIO(manifest.read(args.samples)))
+        samples = read_samples_csv(io.StringIO(
+            utf8_text(manifest.read(args.samples), args.samples)))
         cdf = error_cdf(samples)
         payload = {"n_samples": len(samples), "cdf": cdf.to_dict()}
         _emit_report(payload, manifest, args.out)

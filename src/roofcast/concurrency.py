@@ -28,7 +28,13 @@ from .core import (
     ResourceAllocation,
     allocation_of,
 )
-from .errors import SchemaError, ValidationError, check_schema_version, coerce
+from .errors import (
+    SchemaError,
+    ValidationError,
+    check_schema_version,
+    coerce,
+    utf8_text,
+)
 from .ingest import (
     AggregateMetrics,
     QueryProfile,
@@ -305,7 +311,7 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
             path = Path(raw_profile)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            profile = read_profile_json(read(path).decode("utf-8"))
+            profile = read_profile_json(utf8_text(read(path), path))
         elif isinstance(raw_profile, Mapping):
             profile = profile_from_dict(raw_profile)
         else:
@@ -330,7 +336,7 @@ def load_workload(path: str | Path,
     read once with `read`."""
     path = Path(path)
     try:
-        doc = json.loads(read(path).decode("utf-8"))
+        doc = json.loads(utf8_text(read(path), path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid workload JSON: {exc}") from exc
     return workload_from_dict(doc, base_dir=path.parent, read=read)

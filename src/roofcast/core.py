@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
     check_schema_version,
     coerce,
+    utf8_text,
 )
 
 GB = 1e9
@@ -282,7 +283,7 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
             raise ConfigError(f"{key} must be finite and > 0, got {value}")
         return value * scale
 
-    return HardwareSpec(
+    fields = dict(
         name=str(doc["name"]),
         sm_count=coerce(doc["sm_count"], int, "sm_count"),
         peak_compute_bw=number("peak_compute_gops", GOPS),
@@ -295,6 +296,11 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
                                 "l2_request_bytes"),
         mig_catalog=_parse_catalog(doc.get("mig_catalog", [])),
     )
+    if not fields["peak_l2_bw"] > fields["peak_dram_bw"]:
+        raise ConfigError(
+            "peak_l2_gbps must exceed peak_dram_gbps (cache sits above DRAM); "
+            f"got {doc['peak_l2_gbps']} vs {doc['peak_dram_gbps']}")
+    return HardwareSpec(**fields)
 
 
 def load_hardware_spec(path: str | Path,
@@ -302,7 +308,7 @@ def load_hardware_spec(path: str | Path,
                        ) -> HardwareSpec:
     """Load a hardware spec (and its partition catalog) from a YAML file,
     read once with `read`."""
-    text = read(Path(path)).decode("utf-8")
+    text = utf8_text(read(Path(path)), path)
     try:
         doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
                                               yaml.SafeLoader))

@@ -47,6 +47,17 @@ def integral(value: object) -> int:
     return int(value) if isinstance(value, int) else int(number)
 
 
+def utf8_text(data: bytes, source: object) -> str:
+    """data decoded as UTF-8, or a ValidationError naming source, the file
+    it was read from."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def check_schema_version(doc, expected: int, context: str) -> None:
     """A SchemaError unless doc["schema_version"] is `expected`; true is
     not 1."""

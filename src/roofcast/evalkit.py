@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence
 
 from .core import HardwareSpec, ResourceAllocation, default_hardware_spec
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, utf8_text
 from .ingest import KernelRecord, QueryProfile, aggregate
 
 
@@ -91,8 +91,9 @@ def write_samples_csv(samples: Sequence[ErrorSample], sink: IO[bytes]) -> None:
 
 def read_samples_csv(stream: IO[bytes]) -> list[ErrorSample]:
     data = stream.read()
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
+    if isinstance(data, bytes):
+        data = utf8_text(data, getattr(stream, "name", "samples file"))
+    reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
     except StopIteration:

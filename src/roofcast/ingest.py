@@ -24,11 +24,13 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import IO
+from operator import itemgetter, mul
+from typing import IO, NamedTuple
 
 from .core import HardwareSpec
 from .errors import (
@@ -39,6 +41,7 @@ from .errors import (
     check_schema_version,
     coerce,
     integral,
+    utf8_text,
 )
 
 PROFILE_SCHEMA_VERSION = 1
@@ -72,28 +75,51 @@ CANONICAL_HEADER = ("kernel_name", "duration_ns", "dram_bytes", "l2_requests",
 # The columns _record_from_values takes, in order, when a row gives its int
 # ops per cycle; otherwise it takes CANONICAL_HEADER.
 _PER_CYCLE_COLUMNS = (*CANONICAL_HEADER[:-1], "int_ops_per_cycle", "cycles")
+_CANONICAL_POSITIONS = tuple(range(len(CANONICAL_HEADER)))
 
 
-@dataclass(frozen=True)
-class KernelRecord:
-    """Counters for one kernel launch."""
-
+# typing.NamedTuple may not define __new__, so KernelRecord's checks live in
+# a subclass.
+class _KernelFields(NamedTuple):
     kernel_name: str
     duration: float     # seconds
     dram_bytes: int
     l2_requests: int
     int_ops: int
 
-    def __post_init__(self):
+
+class KernelRecord(_KernelFields):
+    """Counters for one kernel launch, an immutable named tuple.
+
+    The constructor, _make and _replace all check the counters. The column
+    reader checks whole columns and then builds records with tuple.__new__.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kernel_name: str, duration: float, dram_bytes: int,
+                l2_requests: int, int_ops: int):
         # Profiles store nanoseconds, so those must be finite too.
-        if not (self.duration > 0 and math.isfinite(self.duration * NS_PER_S)):
+        if not (duration > 0 and math.isfinite(duration * NS_PER_S)):
             raise ValidationError(
-                f"kernel {self.kernel_name!r}: duration must be finite and > 0, "
-                f"got {self.duration}")
-        for fname in ("dram_bytes", "l2_requests", "int_ops"):
-            if getattr(self, fname) < 0:
+                f"kernel {kernel_name!r}: duration must be finite and > 0, "
+                f"got {duration}")
+        for fname, value in (("dram_bytes", dram_bytes),
+                             ("l2_requests", l2_requests), ("int_ops", int_ops)):
+            if value < 0:
                 raise ValidationError(
-                    f"kernel {self.kernel_name!r}: {fname} must be >= 0")
+                    f"kernel {kernel_name!r}: {fname} must be >= 0")
+        return tuple.__new__(cls, (kernel_name, duration, dram_bytes,
+                                   l2_requests, int_ops))
+
+    @classmethod
+    def _make(cls, iterable) -> KernelRecord:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
+
+# A record from one row of values already checked by _column_records.
+_checked_record = partial(tuple.__new__, KernelRecord)
 
 
 @dataclass(frozen=True)
@@ -165,6 +191,8 @@ def _canonical_columns(names: Sequence[str], context: str) -> tuple[int, ...]:
     The order is CANONICAL_HEADER, or _PER_CYCLE_COLUMNS when there is no
     int_ops column. Unknown columns are ignored.
     """
+    if tuple(names) == CANONICAL_HEADER:    # every profile roofcast writes
+        return _CANONICAL_POSITIONS
     positions = {}
     for i, name in enumerate(names):
         canon = COLUMN_ALIASES.get(name)
@@ -183,7 +211,7 @@ def _canonical_columns(names: Sequence[str], context: str) -> tuple[int, ...]:
     if missing:
         raise SchemaError(f"{context}: missing required column(s) {missing}")
     order = CANONICAL_HEADER if "int_ops" in positions else _PER_CYCLE_COLUMNS
-    return tuple(positions[c] for c in order)
+    return tuple(map(positions.__getitem__, order))
 
 
 def _finite(raw: object) -> float:
@@ -242,25 +270,123 @@ def _record_from_values(values: tuple, row: int) -> KernelRecord:
         raise _conversion_error(values, row) from None
 
 
+# Rows _column_records converts at a time: enough to spread its fixed cost
+# over many rows, few enough that a wide CSV's cells are never all held.
+_CHUNK_ROWS = 128
+
+
+def _finite_column(column: tuple) -> Sequence[float]:
+    """Each cell as _finite converts it; an exception if any cell fails."""
+    kind, = set(map(type, column))      # ValueError for a mixed column
+    if kind is not float:
+        if kind is not int and kind is not str:
+            raise TypeError(kind)
+        column = list(map(float, column))
+    # A sum is finite only if every term is (and may overflow: a refusal).
+    if not math.isfinite(sum(column)):
+        raise ValueError("non-finite value")
+    return column
+
+
+def _integral_columns(*columns: tuple) -> Sequence[Sequence[int]]:
+    """Each cell of columns as errors.integral converts it; an exception if
+    any cell fails. Int columns stay exact."""
+    kind, = set(map(type, chain(*columns)))    # ValueError for mixed cells
+    if kind is int:
+        # integral rejects an int too large for a float; the extremes decide.
+        float(min(map(min, columns)))
+        float(max(map(max, columns)))
+        return columns
+    if kind is str:
+        columns = [list(map(float, column)) for column in columns]
+    elif kind is not float:
+        raise TypeError(kind)
+    if not all(map(float.is_integer, chain(*columns))):
+        raise ValueError("not an integer")
+    return [list(map(int, column)) for column in columns]
+
+
+def _column_records(values: list[tuple]) -> list[KernelRecord] | None:
+    """What _record_from_values makes of each row of values, converted and
+    checked a column at a time; None when a cell needs that row-by-row path,
+    which raises the error naming its row and column."""
+    try:
+        if len(values[0]) == len(CANONICAL_HEADER):
+            names, durations, dram, l2, ops = zip(*values)
+            dram, l2, ops = _integral_columns(dram, l2, ops)
+        else:
+            names, durations, dram, l2, rates, cycles = zip(*values)
+            dram, l2, cycles = _integral_columns(dram, l2, cycles)
+            # round of an infinite product raises OverflowError.
+            ops = list(map(round, map(mul, _finite_column(rates), cycles)))
+        durations = [ns / NS_PER_S for ns in _finite_column(durations)]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # str(name) of another type, and KernelRecord's checks, on whole columns.
+    if not (set(map(type, names)) == {str}
+            and min(durations) > 0 and math.isfinite(max(durations) * NS_PER_S)
+            and min(dram) >= 0 and min(l2) >= 0 and min(ops) >= 0):
+        return None
+    return list(map(_checked_record, zip(names, durations, dram, l2, ops)))
+
+
 def _records_from_objects(objects: list, label: str,
                           not_mapping: str) -> list[KernelRecord]:
     """One record per kernel object, its columns resolved once per key layout.
 
+    A chunk of dicts that share one key layout is read a column at a time.
     label ("row {}") names the 1-based position in a layout error and
     not_mapping is the message for an entry that is not a mapping.
     """
     getters = {}
-    records = []
-    for i, obj in enumerate(objects, start=1):
-        if not isinstance(obj, Mapping):
-            raise SchemaError(not_mapping.format(i))
-        layout = tuple(obj)
+
+    def getter_of(layout: tuple, i: int) -> itemgetter:
         getter = getters.get(layout)
         if getter is None:
             positions = _canonical_columns(layout, label.format(i))
-            getter = getters[layout] = itemgetter(*(layout[j] for j in positions))
-        records.append(_record_from_values(getter(obj), i))
+            getter = getters[layout] = itemgetter(
+                *map(layout.__getitem__, positions))
+        return getter
+
+    records = []
+    for start in range(0, len(objects), _CHUNK_ROWS):
+        chunk = objects[start:start + _CHUNK_ROWS]
+        kernels = None
+        if set(map(type, chunk)) == {dict}:
+            layout = tuple(chunk[0])
+            if all(map(layout.__eq__, map(tuple, chunk))):
+                getter = getter_of(layout, start + 1)
+                kernels = _column_records(list(map(getter, chunk)))
+        if kernels is None:
+            kernels = []
+            for i, obj in enumerate(chunk, start=start + 1):
+                if not isinstance(obj, Mapping):
+                    raise SchemaError(not_mapping.format(i))
+                values = getter_of(tuple(obj), i)(obj)
+                kernels.append(_record_from_values(values, i))
+        records += kernels
     return records
+
+
+def _csv_chunks(reader: Iterator[list[str]]
+                ) -> Iterator[tuple[int, list[list[str]]]]:
+    """reader's rows, at most _CHUNK_ROWS at a time, each list with the row
+    number of its first row (the header is row 1).
+
+    A row the csv module cannot split raises a ParseError naming it, after
+    the rows before it were handed out, so their errors come first.
+    """
+    row_no, rows = 2, []
+    try:
+        for row in reader:
+            rows.append(row)
+            if len(rows) == _CHUNK_ROWS:
+                yield row_no, rows
+                row_no, rows = row_no + len(rows), []
+    except csv.Error as exc:
+        yield row_no, rows
+        raise ParseError(f"row {row_no + len(rows)}: {exc}") from None
+    yield row_no, rows
 
 
 def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRecord]:
@@ -269,7 +395,7 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
         raise ValidationError(f"unsupported counter format {format!r}")
     data = stream.read()
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        text = utf8_text(data, getattr(stream, "name", "counter file"))
     else:
         text = data
     if format == "json":
@@ -288,13 +414,22 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
         raise SchemaError("empty counter file: header row required") from None
     getter = itemgetter(*_canonical_columns(header, "header"))
     records = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(header):
-            raise ParseError(
-                f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-        records.append(_record_from_values(getter(row), row_no))
+    for row_no, rows in _csv_chunks(reader):
+        # Rows that are empty or short go row by row, which skips or names them.
+        full = list(filter(None, rows))
+        kernels = None
+        if full and min(map(len, full)) >= len(header):
+            kernels = _column_records(list(map(getter, full)))
+        if kernels is None:
+            kernels = []
+            for i, row in enumerate(rows, start=row_no):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < len(header):
+                    raise ParseError(
+                        f"row {i}: expected {len(header)} fields, got {len(row)}")
+                kernels.append(_record_from_values(getter(row), i))
+        records += kernels
     return records
 
 
@@ -324,6 +459,11 @@ def serialize_kernels_csv(records: Iterable[KernelRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# KernelRecord fields by position: map over these sums faster than attribute
+# access in a generator.
+_DURATION, _DRAM_BYTES, _L2_REQUESTS, _INT_OPS = map(itemgetter, range(1, 5))
+
+
 def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
     """Sum kernel counters and derive intensities and attained bandwidths.
 
@@ -334,13 +474,14 @@ def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
         raise ValidationError(
             f"profile {profile.query_id!r}: no kernels; GPU-time predictions "
             "need at least one kernel record")
+    kernels = profile.kernels
     try:
         # fsum keeps aggregation exactly permutation-invariant.
-        total_duration = math.fsum(k.duration for k in profile.kernels)
-        total_dram = float(sum(k.dram_bytes for k in profile.kernels))
-        total_requests = sum(k.l2_requests for k in profile.kernels)
+        total_duration = math.fsum(map(_DURATION, kernels))
+        total_dram = float(sum(map(_DRAM_BYTES, kernels)))
+        total_requests = sum(map(_L2_REQUESTS, kernels))
         total_l2 = float(total_requests * hw.l2_request_bytes)
-        total_ops = float(sum(k.int_ops for k in profile.kernels))
+        total_ops = float(sum(map(_INT_OPS, kernels)))
     except OverflowError:
         raise ValidationError(
             f"profile {profile.query_id!r}: a kernel total is too large for "

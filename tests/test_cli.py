@@ -91,6 +91,12 @@ BAD_COUNTER_FILES = [
      "row 1: column 'duration_ns': not a number: True"),
     ("fraction.csv", CSV_HEADER + "k0,1000,1,2.5,1\n",
      "row 2: column 'l2_requests': not an integer: '2.5'"),
+    ("carriage_return.csv", CSV_HEADER + "k0,1000,1,1,1\nk1,1000\r,1,1,1\n",
+     "row 3: new-line character seen in unquoted field"),
+    ("nan_after_a_row.csv", CSV_HEADER + "k0,1000,1,1,1\nk1,nan,1,1,1\n",
+     "row 3: column 'duration_ns': non-finite value"),
+    ("negative_after_a_row.csv", CSV_HEADER + "k0,1000,1,1,1\nk1,1000,1,-2,1\n",
+     "row 3: kernel 'k1': l2_requests must be >= 0"),
 ]
 
 
@@ -377,6 +383,9 @@ def shared_catalog(**fields) -> list:
     ("predict", {"sm_count": True}, "sm_count must be an integer, got True"),
     ("predict", {"peak_dram_gbps": True}, "peak_dram_gbps must be a number"),
     ("predict", {"schema_version": True}, "unsupported schema_version True"),
+    ("roofline", {"peak_l2_gbps": 5},
+     "peak_l2_gbps must exceed peak_dram_gbps (cache sits above DRAM); "
+     "got 5 vs 10.0"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
@@ -396,6 +405,37 @@ def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# One input of each loader that decodes UTF-8: the command line, and which
+# of the files it names holds the byte 0xff.
+NOT_UTF8 = {
+    "counter-file": (["ingest", "--input", "{bad}"], "bad.csv"),
+    "profile": (["roofline", "--profile", "{bad}"], "bad.json"),
+    "workload": (["concurrency", "--workload", "{bad}"], "bad.json"),
+    "workload-profile": (["concurrency", "--workload", "{workload}"],
+                         "profile.json"),
+    "hardware-spec": (["roofline", "--profile", "{profile}", "--hw", "{bad}"],
+                      "bad.yaml"),
+    "samples": (["eval", "--samples", "{bad}"], "bad.csv"),
+}
+
+
+@pytest.mark.parametrize("argv, bad_name", NOT_UTF8.values(),
+                         ids=NOT_UTF8.keys())
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys,
+                                                        argv, bad_name):
+    profile = write_profile(tmp_path)
+    workload = write_workload(tmp_path, profile)
+    bad = tmp_path / bad_name
+    bad.write_bytes(b"kernel_name\xff\n")
+    paths = {"bad": bad, "profile": profile, "workload": workload}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{bad}: not UTF-8 text" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -1,10 +1,13 @@
+import csv
 import io
 import json
 import math
+from collections.abc import Mapping
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roofcast.errors import (
     DegenerateProfileError,
@@ -14,6 +17,7 @@ from roofcast.errors import (
 )
 from roofcast import ingest
 from roofcast.ingest import (
+    CANONICAL_HEADER,
     NS_PER_S,
     KernelRecord,
     QueryProfile,
@@ -32,6 +36,9 @@ from roofcast.core import default_hardware_spec
 
 GOLDEN = Path(__file__).parent / "data" / "golden_kernels.csv"
 HW = default_hardware_spec()
+
+
+CANONICAL_HEADER_LINE = ",".join(CANONICAL_HEADER) + "\n"
 
 
 def parse_csv(text: str):
@@ -110,6 +117,9 @@ def test_parse_json_array():
              "l2_requests": 2, "int_ops": 3}]
     records = parse_counter_file(io.BytesIO(json.dumps(rows).encode()), "json")
     assert records == [KernelRecord("k0", 1e-6, 1, 2, 3)]
+    rows.append(dict(rows[0], kernel_name=7))    # a name is read as text
+    records = parse_counter_file(io.BytesIO(json.dumps(rows).encode()), "json")
+    assert records[1].kernel_name == "7"
 
 
 ROW = {"kernel_name": "k0", "duration_ns": 1000, "dram_bytes": 1,
@@ -148,11 +158,168 @@ def test_kernel_with_its_own_incomplete_layout_is_named():
         profile_from_dict(doc)
 
 
-@pytest.mark.parametrize("duration", [0.0, -1e-3, math.inf, math.nan, 1e300])
+@pytest.mark.parametrize("duration", [0.0, -1e-3, math.inf, math.nan, 1e300,
+                                      -1])
 def test_kernel_duration_must_be_finite_and_positive(duration):
-    # 1e300 s overflows to inf in the nanoseconds a profile stores.
-    with pytest.raises(ValidationError, match="duration must be finite and > 0"):
-        KernelRecord("k", duration, 1, 1, 1)
+    # 1e300 s overflows to inf in the nanoseconds a profile stores. The
+    # constructor, _make and _replace all check, a negative count too.
+    record = KernelRecord("k", 1e-3, 1, 1, 1)
+    bad = [({"duration": duration}, "duration must be finite and > 0")]
+    bad += [({name: -1}, f"{name} must be >= 0")
+            for name in ("dram_bytes", "l2_requests", "int_ops")]
+    for fields, message in bad:
+        values = {**record._asdict(), **fields}
+        for make in (lambda: KernelRecord(**values),
+                     lambda: KernelRecord._make(values.values()),
+                     lambda: record._replace(**fields)):
+            with pytest.raises(ValidationError, match=message):
+                make()
+    with pytest.raises(AttributeError):
+        record.duration = 1.0
+
+
+# ---------------------------------------------------------------------------
+# The column reader against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+CHUNK = ingest._CHUNK_ROWS
+PER_CYCLE_HEADER = ("kernel_name", "duration_ns", "dram_bytes", "l2_requests",
+                    "int_ops_per_cycle", "cycles")
+
+
+def reference_objects(objects, label, not_mapping):
+    """Each kernel object converted alone, as the reader did before it read
+    columns; _record_from_values is still its one row conversion."""
+    records = []
+    for i, obj in enumerate(objects, start=1):
+        if not isinstance(obj, Mapping):
+            raise SchemaError(not_mapping.format(i))
+        layout = tuple(obj)
+        positions = ingest._canonical_columns(layout, label.format(i))
+        getter = itemgetter(*(layout[j] for j in positions))
+        records.append(ingest._record_from_values(getter(obj), i))
+    return records
+
+
+def reference_csv(text):
+    """Each CSV row converted alone, as the reader did before it read
+    columns."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    getter = itemgetter(*ingest._canonical_columns(header, "header"))
+    records = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            raise ParseError(
+                f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+        records.append(ingest._record_from_values(getter(row), row_no))
+    return records
+
+
+def outcome(read):
+    """repr of the records (so 1 and 1.0 differ), or the error raised."""
+    try:
+        return repr(list(read()))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Cells a reader must convert exactly or refuse by name; the listed ones
+# are drawn about half the time.
+special_cell = st.sampled_from([
+    True, False, math.inf, -math.inf, math.nan, -1, -2.0, 7, 2.5, 0, 10**400,
+    "Infinity", "-inf", "nan", "NaN", "1" * 400, "1e6", " 12 ", "1_000", "2.5",
+    "-4", "0x10", "", "  "])
+wild_cell = st.one_of(
+    special_cell, special_cell, special_cell,
+    st.integers(min_value=-3, max_value=2**64),
+    st.floats(),
+    st.integers(min_value=0, max_value=10**6).map(float),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def kernel_rows(draw):
+    """A header, and rows around a chunk boundary: every column valid and in
+    one representation (int, float or text), then a few cells replaced by
+    wild ones and a few rows cut short or blanked. Sizes and positions come
+    from rng, as draws would crowd them at their first choices."""
+    rng = draw(st.randoms(use_true_random=True))
+    header = rng.choice([CANONICAL_HEADER, PER_CYCLE_HEADER])
+    if rng.random() < 0.5:
+        header = (*header, "launch_id")     # a column no record reads
+    n = rng.choice([1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    kinds = [rng.choice([int, float, str]) for _ in header]
+
+    def valid(column, kind):
+        if column in ("duration_ns", "int_ops_per_cycle"):
+            value = rng.choice([rng.randint(1, 10**9), rng.uniform(1, 1e6)])
+        else:
+            value = rng.randint(0, 2**62)
+        if kind is str:
+            return repr(value)
+        return kind(value) if kind is float or column == "cycles" else \
+            int(value)
+
+    def row_index():
+        edges = [0, n - 1, min(CHUNK - 1, n - 1), min(CHUNK, n - 1)]
+        return rng.choice([*edges, rng.randrange(n)])
+
+    rows = [[f"k{rng.randrange(4)}"]
+            + [valid(column, kind) for column, kind in zip(header[1:], kinds)]
+            for _ in range(n)]
+    for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
+        column = rng.choice([rng.randrange(len(header)), 1])  # often duration
+        rows[row_index()][column] = draw(wild_cell)
+    if rng.random() < 0.2:
+        i = row_index()
+        rows[i] = rng.choice([rows[i][:rng.randrange(len(header))],
+                              ["  "] * len(header)])
+    return header, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_rows())
+def test_column_reader_matches_row_by_row_reference(case):
+    header, rows = case
+    sink = io.StringIO()
+    csv.writer(sink).writerows([header, *rows])
+    text = sink.getvalue()
+    assert outcome(lambda: parse_csv(text)) == \
+        outcome(lambda: reference_csv(text))
+
+    objects = [dict(zip(header, row)) for row in rows]
+    data = json.dumps(objects).encode()
+    assert outcome(lambda: parse_counter_file(io.BytesIO(data), "json")) == \
+        outcome(lambda: reference_objects(json.loads(data), "row {}",
+                                          "row {}: expected an object"))
+
+    doc = {"schema_version": 1, "query_id": "q", "system": "s",
+           "scale_factor": 1.0, "kernels": objects}
+    assert outcome(lambda: profile_from_dict(doc).kernels) == \
+        outcome(lambda: reference_objects(
+            objects, "kernels[{}]",
+            "profile document: kernels[{}] must be a mapping"))
+
+
+def test_clean_columns_are_never_read_row_by_row(monkeypatch):
+    def row_by_row(values, row):
+        raise AssertionError(f"row {row} read alone")
+
+    monkeypatch.setattr(ingest, "_record_from_values", row_by_row)
+    n = 2 * CHUNK + 1
+    csv_text = CANONICAL_HEADER_LINE + "k,1000,1,2,3\n" * n
+    per_cycle = ",".join(PER_CYCLE_HEADER) + "\n" + "k,1e3,1,2,0.5,6\n" * n
+    assert parse_csv(csv_text) == [KernelRecord("k", 1e-6, 1, 2, 3)] * n
+    assert parse_csv(per_cycle) == [KernelRecord("k", 1e-6, 1, 2, 3)] * n
+    records = parse_counter_file(
+        io.BytesIO(json.dumps([RAW_ROW] * n).encode()), "json")
+    assert records == [KernelRecord("k0", 1e-6, 1, 2, 3)] * n
+    profile = make_profile(records)
+    assert read_profile_json(write_profile_json(profile)) == profile
 
 
 # ---------------------------------------------------------------------------
