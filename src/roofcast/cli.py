@@ -72,14 +72,22 @@ EXIT_INTERNAL = 3
 
 @dataclass
 class RunManifest:
-    """Provenance of one CLI run; identical manifests imply identical output."""
+    """Provenance of one CLI run: its parsed command options, the digest of
+    each input file and the hardware spec; identical manifests imply
+    identical output."""
 
-    command: str
+    options: dict[str, object]
     input_digests: dict[str, str] = field(default_factory=dict)
     hardware_spec: str = "bundled:a100_40gb"
-    seed: int | None = None
     tool_version: str = __version__
-    outputs: list[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, args: argparse.Namespace) -> RunManifest:
+        """A manifest of the options in args, less the command handler
+        that argparse keeps in func."""
+        options = vars(args).copy()
+        del options["func"]
+        return cls(options)
 
     def read(self, path: str | Path) -> bytes:
         """An input file's bytes, digested as they are read: the digest is
@@ -90,12 +98,10 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         return {
-            "command": self.command,
+            "options": dict(sorted(self.options.items())),
             "input_digests": dict(sorted(self.input_digests.items())),
             "hardware_spec": self.hardware_spec,
-            "seed": self.seed,
             "tool_version": self.tool_version,
-            "outputs": list(self.outputs),
         }
 
     def hash(self) -> str:
@@ -191,11 +197,11 @@ def cmd_ingest(args) -> int:
 
 
 def _load_profile(path: str, manifest: RunManifest) -> QueryProfile:
-    return read_profile_json(utf8_text(manifest.read(path), path))
+    return read_profile_json(utf8_text(manifest.read(path), path), path)
 
 
 def cmd_roofline(args) -> int:
-    manifest = RunManifest(command="roofline")
+    manifest = RunManifest.of(args)
     profile = _load_profile(args.profile, manifest)
     hw = _resolve_hw(args, manifest)
     metrics = aggregate(profile, hw)
@@ -217,7 +223,6 @@ def cmd_roofline(args) -> int:
         "warnings": validate_against_roofs(metrics, hw),
     }
     if args.plot:
-        manifest.outputs.append(args.plot)
         ceilings, point = roofs[MemLevel(args.level)]
         with open(args.plot, "wb") as sink:
             emit_plot_data([point], ceilings, sink)
@@ -226,7 +231,7 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    manifest = RunManifest(command="predict")
+    manifest = RunManifest.of(args)
     profile = _load_profile(args.profile, manifest)
     hw = _resolve_hw(args, manifest)
     if args.alloc:
@@ -240,7 +245,6 @@ def cmd_predict(args) -> int:
     metrics = aggregate(profile, hw)
     prediction = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
     if args.curve:
-        manifest.outputs.append(args.curve)
         fractions = [i / 16 for i in range(1, 17)]
         curve = scaling_curve(profile, hw, fractions)
         with open(args.curve, "wb") as sink:
@@ -274,14 +278,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_concurrency(args) -> int:
-    manifest = RunManifest(command="concurrency")
+    manifest = RunManifest.of(args)
     hw = _resolve_hw(args, manifest)
     workload = load_workload(args.workload, read=manifest.read)
-    if args.doc is not None:
-        workload = replace(workload, doc=args.doc)
-    if args.seed is not None:
-        workload = replace(workload, seed=args.seed)
-    manifest.seed = workload.seed
+    overrides = {name: value for name in ("doc", "seed")
+                 if (value := getattr(args, name)) is not None}
+    if overrides:
+        workload = replace(workload, **overrides)
     if args.mig:
         config = _find_config(hw, args.mig)
     else:
@@ -289,7 +292,6 @@ def cmd_concurrency(args) -> int:
     estimated = estimate_qps(workload, hw, config)
     trace_sink = None
     if args.trace:
-        manifest.outputs.append(args.trace)
         trace_sink = open(args.trace, "wb")
     try:
         simulated = simulate_dispatch(workload, hw, config,
@@ -310,7 +312,7 @@ def cmd_concurrency(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    manifest = RunManifest(command="advise")
+    manifest = RunManifest.of(args)
     hw = _resolve_hw(args, manifest)
     workload = load_workload(args.workload, read=manifest.read)
     objective = Objective(args.objective)
@@ -330,7 +332,7 @@ def cmd_advise(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = RunManifest(command="eval")
+    manifest = RunManifest.of(args)
     if args.samples:
         samples = read_samples_csv(io.StringIO(
             utf8_text(manifest.read(args.samples), args.samples)))
@@ -340,7 +342,6 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     hw = _resolve_hw(args, manifest)
-    manifest.seed = args.seed
     grid = [float(f) for f in args.grid.split(",")]
     device, profiles = generate_synthetic(args.seed, args.n_queries, hw)
     roofline_samples: list[ErrorSample] = []
@@ -359,7 +360,6 @@ def cmd_eval(args) -> int:
     roofline_cdf = error_cdf(roofline_samples)
     linear_cdf = error_cdf(linear_samples)
     if args.samples_out:
-        manifest.outputs.append(args.samples_out)
         tagged = ([ErrorSample(f"roofline:{s.label}", s.estimated, s.actual)
                    for s in roofline_samples]
                   + [ErrorSample(f"linear:{s.label}", s.estimated, s.actual)

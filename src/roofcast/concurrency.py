@@ -14,9 +14,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 from heapq import heapreplace
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
@@ -163,24 +162,14 @@ def simulate_dispatch(w: WorkloadSpec, hw: HardwareSpec,
     weights = [weight for _, weight in w.queries]
     choices = rng.choices(range(len(w.queries)), weights=weights,
                           k=w.dispatch_count)
-    if trace_sink is None and least_loaded:
-        makespan = _least_loaded(table, choices)
-    elif trace_sink is None:
-        # Instance i serves choices[i::doc] back to back. reduce keeps the
-        # left-to-right float additions of a per-dispatch loop; sum would
-        # not, as it is compensated from Python 3.12 on.
-        makespan = max(
-            reduce(add, map(row.__getitem__,
-                            islice(choices, i, None, w.doc)), 0.0)
-            for i, row in enumerate(table))
-    else:
+    heads = None
+    if trace_sink is not None:
         trace_sink.write(b"instance,query_id,start,end\n")
         # heads[i][q] is the "instance,query_id," start of a trace row.
         heads = [[f"{i},{profile.query_id}," for profile, _ in w.queries]
                  for i in range(w.doc)]
-        traced = _least_loaded_traced if least_loaded else _round_robin_traced
-        makespan = traced(table, choices, heads, trace_sink)
-    return w.dispatch_count / makespan
+    dispatch = _least_loaded if least_loaded else _round_robin
+    return w.dispatch_count / dispatch(table, choices, heads, trace_sink)
 
 
 # Trace rows are written in dispatch order, this many per write. The text
@@ -193,19 +182,12 @@ def _write_rows(sink: IO[bytes], lines: list[str]) -> None:
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _least_loaded(table: list[list[float]], choices: list[int]) -> float:
+def _least_loaded(table: list[list[float]], choices: list[int],
+                  heads: list[list[str]] | None,
+                  sink: IO[bytes] | None) -> float:
     """Send each dispatch to the instance that frees up first, the lowest
-    index on ties; return the makespan."""
-    heap = [(0.0, i) for i in range(len(table))]
-    for q in choices:
-        start, i = heap[0]
-        heapreplace(heap, (start + table[i][q], i))
-    return max(heap)[0]
-
-
-def _least_loaded_traced(table: list[list[float]], choices: list[int],
-                         heads: list[list[str]], sink: IO[bytes]) -> float:
-    """_least_loaded, writing one trace row per dispatch."""
+    index on ties; return the makespan. With a sink, write one trace row
+    per dispatch."""
     heap = [(0.0, i) for i in range(len(table))]
     marks = ["0"] * len(table)
     lines = []
@@ -213,40 +195,48 @@ def _least_loaded_traced(table: list[list[float]], choices: list[int],
         start, i = heap[0]
         end = start + table[i][q]
         heapreplace(heap, (end, i))
-        mark = f"{end:.12g}"
-        lines.append(f"{heads[i][q]}{marks[i]},{mark}")
-        marks[i] = mark
-        if len(lines) == _TRACE_CHUNK:
-            _write_rows(sink, lines)
-            lines = []
+        if sink is not None:
+            mark = f"{end:.12g}"
+            lines.append(f"{heads[i][q]}{marks[i]},{mark}")
+            marks[i] = mark
+            if len(lines) == _TRACE_CHUNK:
+                _write_rows(sink, lines)
+                lines = []
     if lines:
         _write_rows(sink, lines)
     return max(heap)[0]
 
 
-def _round_robin_traced(table: list[list[float]], choices: list[int],
-                        heads: list[list[str]], sink: IO[bytes]) -> float:
-    """Round-robin dispatch, one chunk at a time: each instance's share of
-    a chunk is summed with accumulate, then its trace rows are interleaved
-    back into dispatch order."""
+def _round_robin(table: list[list[float]], choices: list[int],
+                 heads: list[list[str]] | None,
+                 sink: IO[bytes] | None) -> float:
+    """Instance i serves choices[i::doc] back to back; return the makespan.
+
+    Dispatches go one chunk at a time: each instance's share of a chunk is
+    summed left to right with accumulate. With a sink, its trace rows are
+    then interleaved back into dispatch order.
+    """
     doc = len(table)
     busy_until = [0.0] * doc
     step = doc * max(1, _TRACE_CHUNK // doc)
-    for lo in range(0, len(choices), step):
-        block = choices[lo:lo + step]
-        lines = [""] * len(block)
+    n = len(choices)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        lines = None if sink is None else [""] * (hi - lo)
         for i, row in enumerate(table):
-            mine = block[i::doc]
+            mine = choices[lo + i:hi:doc]
             # The instance's busy-until time, then the end of each of its
             # dispatches in this chunk (each the start of the next one).
             times = list(accumulate(map(row.__getitem__, mine), add,
                                     initial=busy_until[i]))
-            texts = [f"{t:.12g}" for t in times]
-            head = heads[i]
-            lines[i::doc] = [f"{head[q]}{start},{end}"
-                             for q, start, end in zip(mine, texts, texts[1:])]
             busy_until[i] = times[-1]
-        _write_rows(sink, lines)
+            if lines is not None:
+                texts = [f"{t:.12g}" for t in times]
+                head = heads[i]
+                lines[i::doc] = [f"{head[q]}{start},{end}" for q, start, end
+                                 in zip(mine, texts, texts[1:])]
+        if lines is not None:
+            _write_rows(sink, lines)
     return max(busy_until)
 
 
@@ -311,7 +301,7 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
             path = Path(raw_profile)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            profile = read_profile_json(utf8_text(read(path), path))
+            profile = read_profile_json(utf8_text(read(path), path), path)
         elif isinstance(raw_profile, Mapping):
             profile = profile_from_dict(raw_profile)
         else:
@@ -337,6 +327,6 @@ def load_workload(path: str | Path,
     path = Path(path)
     try:
         doc = json.loads(utf8_text(read(path), path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an int past the int-to-text limit
         raise SchemaError(f"{path}: invalid workload JSON: {exc}") from exc
     return workload_from_dict(doc, base_dir=path.parent, read=read)

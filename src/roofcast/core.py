@@ -312,7 +312,8 @@ def load_hardware_spec(path: str | Path,
     try:
         doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
                                               yaml.SafeLoader))
-    except yaml.YAMLError as exc:
+    # ValueError: an integer past the interpreter's int-to-text limit.
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return hardware_spec_from_dict(doc)
 

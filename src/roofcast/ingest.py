@@ -394,15 +394,14 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
     if format not in ("csv", "json"):
         raise ValidationError(f"unsupported counter format {format!r}")
     data = stream.read()
-    if isinstance(data, bytes):
-        text = utf8_text(data, getattr(stream, "name", "counter file"))
-    else:
-        text = data
+    source = getattr(stream, "name", "counter file")
+    text = utf8_text(data, source) if isinstance(data, bytes) else data
     if format == "json":
         try:
             rows = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON counter file: {exc}") from exc
+        except ValueError as exc:   # also an int past the int-to-text limit
+            raise ParseError(
+                f"{source}: invalid JSON counter file: {exc}") from exc
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
         return _records_from_objects(rows, "row {}", "row {}: expected an object")
@@ -651,10 +650,11 @@ def write_profile_json(profile: QueryProfile) -> str:
     return f'{head},\n  "kernels": {kernels},\n  "plan": {plan}\n}}\n'
 
 
-def read_profile_json(text: str) -> QueryProfile:
+def read_profile_json(text: str, source: object = "profile") -> QueryProfile:
+    """The profile in a JSON document; errors name source, its file."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid profile JSON: {exc}") from exc
+    except ValueError as exc:   # also an int past the int-to-text limit
+        raise ParseError(f"{source}: invalid profile JSON: {exc}") from exc
     return profile_from_dict(doc)
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from roofcast.core import HardwareSpec, default_hardware_spec
@@ -46,3 +48,14 @@ def profile_from_utils(hw: HardwareSpec, util_compute: float, util_dram: float,
         kernels=(kernel,),
         cpu_overhead=cpu_overhead,
     )
+
+
+def unlimited(dumps, *args, **kwargs) -> str:
+    """dumps(*args, **kwargs), also of an int past the interpreter's
+    4,300-digit limit on int-to-text conversion."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return dumps(*args, **kwargs)
+    finally:
+        sys.set_int_max_str_digits(limit)

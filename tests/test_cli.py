@@ -9,7 +9,7 @@ from roofcast.cli import main
 from roofcast.core import default_hardware_spec
 from roofcast.ingest import profile_to_dict
 
-from conftest import profile_from_utils
+from conftest import profile_from_utils, unlimited
 
 HW = default_hardware_spec()
 GOLDEN = Path(__file__).parent / "data" / "golden_kernels.csv"
@@ -18,6 +18,8 @@ HW_DOC = {
     "peak_compute_gops": 100.0, "peak_dram_gbps": 10.0, "peak_l2_gbps": 50.0,
     "l2_capacity_mb": 1.0, "dram_capacity_gb": 1.0, "host_link_gbps": 4.0,
 }
+# An integer literal longer than the 4,300 digits Python turns into an int.
+LONG_INT = 10**5000
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -97,6 +99,9 @@ BAD_COUNTER_FILES = [
      "row 3: column 'duration_ns': non-finite value"),
     ("negative_after_a_row.csv", CSV_HEADER + "k0,1000,1,1,1\nk1,1000,1,-2,1\n",
      "row 3: kernel 'k1': l2_requests must be >= 0"),
+    ("long_int.json",
+     unlimited(json.dumps, [dict(JSON_ROW, dram_bytes=LONG_INT)]),
+     "long_int.json: invalid JSON counter file: Exceeds the limit"),
 ]
 
 
@@ -126,6 +131,20 @@ def test_profile_with_non_finite_duration_exits_2(tmp_path, capsys, duration):
         err = capsys.readouterr().err
         assert code == 2
         assert "row 1: column 'duration_ns': non-finite value" in err
+        assert "Traceback" not in err
+
+
+def test_profile_with_a_long_integer_exits_2_naming_the_file(tmp_path,
+                                                            capsys):
+    path = write_profile(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["kernels"][0]["dram_bytes"] = LONG_INT
+    path.write_text(unlimited(json.dumps, doc))
+    for argv in (["roofline"], ["predict", "--mig", "1g.5gb"]):
+        code = main([*argv, "--profile", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: invalid profile JSON: Exceeds the limit" in err
         assert "Traceback" not in err
 
 
@@ -250,6 +269,29 @@ def test_concurrency_deterministic_byte_identical(tmp_path, capsys):
     assert report["simulated_qps"] > 0
 
 
+def test_concurrency_doc_and_seed_overrides_apply_together(tmp_path, capsys):
+    # Each override of the weighted mix renormalizes its weights, which can
+    # move the last bits of a QPS; --seed 7 repeats the document's seed, so
+    # adding it must not change the answer.
+    queries = []
+    for i, weight in enumerate([2.3, 0.7, 0.35]):
+        path = write_profile(tmp_path, name=f"p{i}.json", t0=0.05 + 0.01 * i,
+                             util_dram=0.3 + 0.2 * i)
+        queries.append({"profile": path.name, "weight": weight})
+    workload = tmp_path / "workload.json"
+    workload.write_text(json.dumps({"schema_version": 1, "doc": 2, "seed": 7,
+                                    "dispatch_count": 200,
+                                    "queries": queries}))
+    reports = []
+    for extra in ((), ("--seed", "7")):
+        code, out = run(capsys, "concurrency", "--workload", str(workload),
+                        "--doc", "7", *extra)
+        assert code == 0
+        reports.append(json.loads(out))
+    for key in ("estimated_qps", "simulated_qps"):
+        assert reports[0][key] == reports[1][key]
+
+
 def test_concurrency_catalog_config_and_trace(tmp_path, capsys):
     profile = write_profile(tmp_path)
     workload = write_workload(tmp_path, profile, doc=2)
@@ -348,6 +390,20 @@ def test_manifest_digests_the_profiles_a_workload_names(tmp_path, capsys,
     assert before["manifest_hash"] != after["manifest_hash"]
 
 
+def test_manifest_hash_tells_apart_runs_with_other_options(tmp_path,
+                                                          capsys):
+    workload = str(write_workload(tmp_path, write_profile(tmp_path), doc=2))
+    variants = [(), ("--doc", "4"), ("--mps",), ("--mig", "3g.20gb+3g.20gb"),
+                ("--least-loaded",), ()]
+    hashes = []
+    for extra in variants:
+        code, out = run(capsys, "concurrency", "--workload", workload, *extra)
+        assert code == 0
+        hashes.append(json.loads(out)["manifest_hash"])
+    assert hashes[0] == hashes[-1]
+    assert len(set(hashes)) == len(variants) - 1
+
+
 def shared_catalog(**fields) -> list:
     """One config of two half-compute slices that each see all the memory."""
     half = {"name": "half", "compute": 0.5, "dram_bw": 1.0, "l2_bw": 1.0,
@@ -386,12 +442,14 @@ def shared_catalog(**fields) -> list:
     ("roofline", {"peak_l2_gbps": 5},
      "peak_l2_gbps must exceed peak_dram_gbps (cache sits above DRAM); "
      "got 5 vs 10.0"),
+    ("predict", {"sm_count": LONG_INT}, "hw.yaml: invalid YAML: Exceeds the"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
                                                           named):
     hw_yaml = tmp_path / "hw.yaml"
-    hw_yaml.write_text(yaml.safe_dump({**HW_DOC, **fields}, sort_keys=False))
+    hw_yaml.write_text(unlimited(yaml.safe_dump, {**HW_DOC, **fields},
+                                 sort_keys=False))
     profile = write_profile(tmp_path)
     argv = {
         "roofline": ["roofline", "--profile", str(profile)],
@@ -460,6 +518,7 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     ({"seed": [1]}, "seed must be"),
     ({"doc": True}, "doc must be an integer, got True"),
     ({"schema_version": True}, "unsupported schema_version True"),
+    ({"seed": LONG_INT}, "workload.json: invalid workload JSON: Exceeds the"),
 ])
 def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
                                                      fields, named):
@@ -467,7 +526,7 @@ def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
     workload = write_workload(tmp_path, profile)
     doc = json.loads(workload.read_text())
     doc.update(fields)
-    workload.write_text(json.dumps(doc))
+    workload.write_text(unlimited(json.dumps, doc))
     code = main(["concurrency", "--workload", str(workload)])
     err = capsys.readouterr().err
     assert code == 2

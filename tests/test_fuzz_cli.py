@@ -1,0 +1,110 @@
+"""Hostile values in otherwise valid input documents, through cli.main.
+
+Each example takes one valid counter export, profile, workload or hardware
+spec, replaces one field with a hostile scalar and runs the command that
+reads it. Whatever the value, the run exits 0, 1 or 2 without a traceback,
+and every JSON document it writes is strict JSON.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from roofcast.cli import main
+from roofcast.core import default_hardware_spec
+from roofcast.ingest import profile_to_dict
+
+from conftest import profile_from_utils, unlimited
+
+HOSTILE = [10**5000, 10**400, math.inf, -math.inf, math.nan, True, False,
+           "text", None, [1], {"a": 1}]
+
+COUNTERS = [{"kernel_name": f"k{i}", "duration_ns": 1000 + i,
+             "dram_bytes": 4096, "l2_requests": 64, "int_ops": 10**6}
+            for i in range(2)]
+PROFILE = profile_to_dict(profile_from_utils(
+    default_hardware_spec(), util_compute=0.1, util_dram=0.3, util_l2=0.2,
+    t0=0.05, cpu_overhead=0.01))
+WORKLOAD = {"schema_version": 1, "doc": 2, "dispatch_count": 50, "seed": 3,
+            "queries": [{"profile": "profile.json", "weight": 1.0}]}
+HARDWARE = {
+    "schema_version": 1, "name": "custom", "sm_count": 10,
+    "peak_compute_gops": 100.0, "peak_dram_gbps": 10.0, "peak_l2_gbps": 50.0,
+    "l2_capacity_mb": 1.0, "dram_capacity_gb": 1.0, "host_link_gbps": 4.0,
+    "l2_request_bytes": 128,
+    "mig_catalog": [{"name": "halves", "shared_memory": False, "instances": [
+        {"name": "half", "compute": 0.5, "dram_bw": 0.5, "l2_bw": 0.5,
+         "mem_capacity": 0.5}] * 2}],
+}
+
+# The command that reads each file, and the field paths of each file.
+COMMANDS = {
+    "counters.json": ["ingest", "--input", "{work}/counters.json"],
+    "profile.json": ["predict", "--profile", "{work}/profile.json",
+                     "--mig", "1g.5gb"],
+    "workload.json": ["concurrency", "--workload", "{work}/workload.json"],
+    "hw.yaml": ["advise", "--workload", "{work}/workload.json",
+                "--hw", "{work}/hw.yaml", "--objective", "max-throughput"],
+}
+KERNEL = PROFILE["kernels"][0]
+INSTANCE = HARDWARE["mig_catalog"][0]["instances"][0]
+FIELDS = (
+    [("counters.json", (1, key)) for key in COUNTERS[0]]
+    + [("profile.json", (key,)) for key in PROFILE if key != "kernels"]
+    + [("profile.json", ("kernels", 0, key)) for key in KERNEL]
+    + [("workload.json", (key,)) for key in WORKLOAD if key != "queries"]
+    + [("workload.json", ("queries", 0, key))
+       for key in WORKLOAD["queries"][0]]
+    + [("hw.yaml", (key,)) for key in HARDWARE if key != "mig_catalog"]
+    + [("hw.yaml", ("mig_catalog", 0, key))
+       for key in ("name", "instances", "shared_memory")]
+    + [("hw.yaml", ("mig_catalog", 0, "instances", 1, key))
+       for key in INSTANCE]
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _with_field(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field=st.sampled_from(FIELDS), value=st.sampled_from(HOSTILE))
+def test_hostile_field_exits_0_1_or_2_and_writes_strict_json(field, value):
+    hostile_file, path = field
+    docs = {"counters.json": COUNTERS, "profile.json": PROFILE,
+            "workload.json": WORKLOAD, "hw.yaml": HARDWARE}
+    docs[hostile_file] = _with_field(docs[hostile_file], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, doc in docs.items():
+            dumps = yaml.safe_dump if name == "hw.yaml" else json.dumps
+            (work / name).write_text(unlimited(dumps, doc))
+        out = work / "out.json"
+        argv = [arg.format(work=work) for arg in COMMANDS[hostile_file]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if out.exists():
+            json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert stdout.getvalue() == ""

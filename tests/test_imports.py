@@ -1,6 +1,9 @@
-"""Module boundaries inside the roofcast package."""
+"""Module boundaries inside the roofcast package and the names the
+benchmark binds to."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import roofcast
@@ -24,3 +27,19 @@ def test_no_module_imports_private_names_of_another():
             offenders.extend(f"{path.name}: {alias.name}"
                              for alias in node.names if _private(alias.name))
     assert offenders == []
+
+
+def test_functions_the_benchmark_traces_exist():
+    # perfbench/child.py rebinds each "<module>.<function>" of TRACED under
+    # roofcast; a name that no longer resolves would crash every traced run.
+    child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    tree = ast.parse(child.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    assert traced
+    for name in traced:
+        module, func = name.rsplit(".", 1)
+        value = getattr(importlib.import_module(f"roofcast.{module}"), func,
+                        None)
+        assert inspect.isfunction(value), name
