@@ -14,6 +14,7 @@ from roofcast.concurrency import (
     WorkloadSpec,
     equal_split_config,
     estimate_qps,
+    instance_times,
     simulate_dispatch,
 )
 from roofcast.core import default_hardware_spec, load_hardware_spec
@@ -39,9 +40,9 @@ def sweep(hw, profile, docs, dispatch_count, seed, mps):
     for doc in docs:
         w = WorkloadSpec(queries=((profile, 1.0),), doc=doc,
                          dispatch_count=dispatch_count, seed=seed)
-        config = equal_split_config(doc, mps=mps)
-        est = estimate_qps(w, hw, config)
-        sim = simulate_dispatch(w, hw, config)
+        table = instance_times(w, hw, equal_split_config(doc, mps=mps))
+        est = estimate_qps(w, table)
+        sim = simulate_dispatch(w, table)
         if base is None:
             base = est
         print(f"{doc:>3} {est:>10.3f} {sim:>10.3f} {est / base:>7.2f}x")

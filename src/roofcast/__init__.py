@@ -51,6 +51,7 @@ from .scaling import (
     Prediction,
     linear_baseline,
     predict_time_mem,
+    scaling_curve,
     slowdown_mem,
     slowdown_unified,
 )
@@ -58,9 +59,10 @@ from .concurrency import (
     WorkloadSpec,
     equal_split_config,
     estimate_qps,
+    instance_times,
     simulate_dispatch,
 )
-from .advisor import Objective, WhatIfReport, advise, enumerate_configs, scaling_curve
+from .advisor import Objective, WhatIfReport, advise, enumerate_configs
 from .evalkit import (
     ErrorSample,
     SyntheticDevice,

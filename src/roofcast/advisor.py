@@ -16,10 +16,8 @@ import enum
 from dataclasses import dataclass, replace
 
 from .core import HardwareSpec, PartitionConfig, ResourceAllocation, allocation_of
-from .errors import ConfigError, ValidationError
-from .ingest import QueryProfile, aggregate
+from .errors import ConfigError
 from .concurrency import WorkloadSpec, allocation_times, instance_means
-from .scaling import slowdown_unified
 
 
 class Objective(enum.Enum):
@@ -112,24 +110,3 @@ def advise(w: WorkloadSpec, hw: HardwareSpec, objective: Objective,
     rows.sort(key=_sort_key(objective))
     return WhatIfReport(rows=tuple(rows), ranked_by=objective)
 
-
-def scaling_curve(profile: QueryProfile, hw: HardwareSpec,
-                  fractions: list[float]) -> list[tuple[float, float]]:
-    """Predicted time at uniform allocations, one point per fraction.
-
-    Fractions must be ascending and in (0, 1]; all four resources are set
-    to the same value, mirroring how physical slices couple them.
-    """
-    if not fractions:
-        raise ValidationError("fractions must be non-empty")
-    if any(not 0 < f <= 1 for f in fractions):
-        raise ValidationError("every fraction must be in (0, 1]")
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise ValidationError("fractions must be strictly ascending")
-    metrics = aggregate(profile, hw)
-    curve = []
-    for f in fractions:
-        alloc = ResourceAllocation(f, f, f, f)
-        pred = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
-        curve.append((f, pred.predicted_time))
-    return curve

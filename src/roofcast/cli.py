@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .advisor import Objective, advise, scaling_curve
+from .advisor import Objective, advise
 from .concurrency import (
     equal_split_config,
     estimate_qps,
+    instance_times,
     load_workload,
     simulate_dispatch,
 )
@@ -59,7 +60,7 @@ from .roofline import (
     place_point,
     write_series_csv,
 )
-from .scaling import linear_baseline, slowdown_unified
+from .scaling import linear_baseline, scaling_curve, slowdown_unified
 
 REPORT_SCHEMA_VERSION = 1
 HW_ENV_VAR = "ROOFCAST_HW"
@@ -246,7 +247,7 @@ def cmd_predict(args) -> int:
     prediction = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
     if args.curve:
         fractions = [i / 16 for i in range(1, 17)]
-        curve = scaling_curve(profile, hw, fractions)
+        curve = scaling_curve(metrics, hw, fractions)
         with open(args.curve, "wb") as sink:
             write_series_csv(
                 ((profile.query_id, f, t, False) for f, t in curve), sink,
@@ -289,12 +290,13 @@ def cmd_concurrency(args) -> int:
         config = _find_config(hw, args.mig)
     else:
         config = equal_split_config(workload.doc, mps=args.mps)
-    estimated = estimate_qps(workload, hw, config)
+    table = instance_times(workload, hw, config)
+    estimated = estimate_qps(workload, table)
     trace_sink = None
     if args.trace:
         trace_sink = open(args.trace, "wb")
     try:
-        simulated = simulate_dispatch(workload, hw, config,
+        simulated = simulate_dispatch(workload, table,
                                       least_loaded=args.least_loaded,
                                       trace_sink=trace_sink)
     finally:
@@ -334,8 +336,9 @@ def cmd_advise(args) -> int:
 def cmd_eval(args) -> int:
     manifest = RunManifest.of(args)
     if args.samples:
-        samples = read_samples_csv(io.StringIO(
-            utf8_text(manifest.read(args.samples), args.samples)))
+        stream = io.BytesIO(manifest.read(args.samples))
+        stream.name = args.samples     # a UTF-8 error names the file
+        samples = read_samples_csv(stream)
         cdf = error_cdf(samples)
         payload = {"n_samples": len(samples), "cdf": cdf.to_dict()}
         _emit_report(payload, manifest, args.out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapreplace
 from itertools import accumulate
@@ -32,6 +33,7 @@ from .errors import (
     ValidationError,
     check_schema_version,
     coerce,
+    reason,
     utf8_text,
 )
 from .ingest import (
@@ -134,30 +136,26 @@ def instance_means(w: WorkloadSpec, table: list[list[float]]) -> list[float]:
             for row in table]
 
 
-def estimate_qps(w: WorkloadSpec, hw: HardwareSpec,
-                 config: PartitionConfig) -> float:
-    """Closed-form throughput: per-instance service rates summed.
+def estimate_qps(w: WorkloadSpec, table: list[list[float]]) -> float:
+    """Closed-form throughput of an instance_times table: rates summed.
 
     Each instance is a sequential server in steady state, so its rate is
     the reciprocal of its mean per-query time; cold costs amortize away.
     """
-    means = instance_means(w, instance_times(w, hw, config))
-    return sum(1.0 / mean for mean in means)
+    return sum(1.0 / mean for mean in instance_means(w, table))
 
 
-def simulate_dispatch(w: WorkloadSpec, hw: HardwareSpec,
-                      config: PartitionConfig,
+def simulate_dispatch(w: WorkloadSpec, table: list[list[float]],
                       least_loaded: bool = False,
                       trace_sink: IO[bytes] | None = None) -> float:
     """Discrete-event dispatch simulation; the independent throughput oracle.
 
     Draws dispatch_count queries by weight with a seeded generator and
     assigns them round-robin (or least-loaded, for sensitivity checks) to
-    instances; each instance serves its queue sequentially with the same
-    per-query times the estimator uses. Returns dispatch_count / makespan.
-    Identical (workload, seed, config) inputs give identical results.
+    the instances of an instance_times table, the one the estimator reads;
+    each serves its queue sequentially. Returns dispatch_count / makespan.
+    Identical (workload, seed, table) inputs give identical results.
     """
-    table = instance_times(w, hw, config)
     rng = random.Random(w.seed)
     weights = [weight for _, weight in w.queries]
     choices = rng.choices(range(len(w.queries)), weights=weights,
@@ -227,10 +225,13 @@ def _round_robin(table: list[list[float]], choices: list[int],
             mine = choices[lo + i:hi:doc]
             # The instance's busy-until time, then the end of each of its
             # dispatches in this chunk (each the start of the next one).
-            times = list(accumulate(map(row.__getitem__, mine), add,
-                                    initial=busy_until[i]))
-            busy_until[i] = times[-1]
-            if lines is not None:
+            ends = accumulate(map(row.__getitem__, mine), add,
+                              initial=busy_until[i])
+            if lines is None:
+                busy_until[i] = deque(ends, maxlen=1)[0]
+            else:
+                times = list(ends)
+                busy_until[i] = times[-1]
                 texts = [f"{t:.12g}" for t in times]
                 head = heads[i]
                 lines[i::doc] = [f"{head[q]}{start},{end}" for q, start, end
@@ -328,5 +329,6 @@ def load_workload(path: str | Path,
     try:
         doc = json.loads(utf8_text(read(path), path))
     except ValueError as exc:   # also an int past the int-to-text limit
-        raise SchemaError(f"{path}: invalid workload JSON: {exc}") from exc
+        raise SchemaError(
+            f"{path}: invalid workload JSON: {reason(exc)}") from exc
     return workload_from_dict(doc, base_dir=path.parent, read=read)

@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
     check_schema_version,
     coerce,
+    reason,
     utf8_text,
 )
 
@@ -314,7 +315,7 @@ def load_hardware_spec(path: str | Path,
                                               yaml.SafeLoader))
     # ValueError: an integer past the interpreter's int-to-text limit.
     except (yaml.YAMLError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+        raise ConfigError(f"{path}: invalid YAML: {reason(exc)}") from exc
     return hardware_spec_from_dict(doc)
 
 

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: ValidationError (and subclasses)
 exit 2, I/O errors exit 1, InternalInvariantError exit 3.
 """
 
+import io
+from typing import IO
+
 
 class RoofcastError(Exception):
     """Base class for all roofcast errors."""
@@ -56,6 +59,25 @@ def utf8_text(data: bytes, source: object) -> str:
         raise ValidationError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+
+
+def reason(exc: Exception) -> str:
+    """exc's message, less the advice Python appends when an integer is past
+    its int-to-text limit: a CLI user cannot call set_int_max_str_digits."""
+    return str(exc).removesuffix(
+        "; use sys.set_int_max_str_digits() to increase the limit")
+
+
+def utf8_lines(data: bytes, source: object) -> IO[str]:
+    """data as a text stream for csv.reader, or utf8_text's ValidationError.
+
+    All of data is checked first, so the error gives the offset of the bad
+    byte in the file. The stream then decodes data a block at a time and
+    keeps no copy of the whole text; only "\n" ends a line, as in
+    io.StringIO.
+    """
+    utf8_text(data, source)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
 
 
 def check_schema_version(doc, expected: int, context: str) -> None:

@@ -12,14 +12,13 @@ predictors; oracle and predictor share no slowdown code path.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import random
 from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence
 
 from .core import HardwareSpec, ResourceAllocation, default_hardware_spec
-from .errors import SchemaError, ValidationError, utf8_text
+from .errors import SchemaError, ValidationError, utf8_lines
 from .ingest import KernelRecord, QueryProfile, aggregate
 
 
@@ -90,10 +89,8 @@ def write_samples_csv(samples: Sequence[ErrorSample], sink: IO[bytes]) -> None:
 
 
 def read_samples_csv(stream: IO[bytes]) -> list[ErrorSample]:
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = utf8_text(data, getattr(stream, "name", "samples file"))
-    reader = csv.reader(io.StringIO(data))
+    reader = csv.reader(utf8_lines(stream.read(),
+                                   getattr(stream, "name", "samples file")))
     try:
         header = next(reader)
     except StopIteration:

@@ -21,7 +21,6 @@ seconds, bytes, and ops.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -41,6 +40,8 @@ from .errors import (
     check_schema_version,
     coerce,
     integral,
+    reason,
+    utf8_lines,
     utf8_text,
 )
 
@@ -395,18 +396,18 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
         raise ValidationError(f"unsupported counter format {format!r}")
     data = stream.read()
     source = getattr(stream, "name", "counter file")
-    text = utf8_text(data, source) if isinstance(data, bytes) else data
     if format == "json":
+        text = utf8_text(data, source)
         try:
             rows = json.loads(text)
         except ValueError as exc:   # also an int past the int-to-text limit
             raise ParseError(
-                f"{source}: invalid JSON counter file: {exc}") from exc
+                f"{source}: invalid JSON counter file: {reason(exc)}") from exc
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
         return _records_from_objects(rows, "row {}", "row {}: expected an object")
 
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(utf8_lines(data, source))
     try:
         header = next(reader)
     except StopIteration:
@@ -655,6 +656,7 @@ def read_profile_json(text: str, source: object = "profile") -> QueryProfile:
     try:
         doc = json.loads(text)
     except ValueError as exc:   # also an int past the int-to-text limit
-        raise ParseError(f"{source}: invalid profile JSON: {exc}") from exc
+        raise ParseError(
+            f"{source}: invalid profile JSON: {reason(exc)}") from exc
     return profile_from_dict(doc)
 

@@ -129,3 +129,24 @@ def slowdown_unified(m: AggregateMetrics, t: float, hw: HardwareSpec,
         direction=direction,
         confidence=confidence,
     )
+
+
+def scaling_curve(metrics: AggregateMetrics, hw: HardwareSpec,
+                  fractions: list[float]) -> list[tuple[float, float]]:
+    """Predicted time at uniform allocations, one point per fraction.
+
+    Fractions must be ascending and in (0, 1]; all four resources are set
+    to the same value, mirroring how physical slices couple them.
+    """
+    if not fractions:
+        raise ValidationError("fractions must be non-empty")
+    if any(not 0 < f <= 1 for f in fractions):
+        raise ValidationError("every fraction must be in (0, 1]")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ValidationError("fractions must be strictly ascending")
+    curve = []
+    for f in fractions:
+        alloc = ResourceAllocation(f, f, f, f)
+        pred = slowdown_unified(metrics, metrics.total_duration, hw, alloc)
+        curve.append((f, pred.predicted_time))
+    return curve

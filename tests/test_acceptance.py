@@ -15,6 +15,7 @@ from roofcast.concurrency import (
     WorkloadSpec,
     equal_split_config,
     estimate_qps,
+    instance_times,
     simulate_dispatch,
     warm_query_time,
 )
@@ -186,9 +187,10 @@ def test_criterion_6_concurrency_composition_and_simulator_agreement():
             queries=tuple((profiles[q], rng.uniform(0.1, 3.0)) for q in chosen),
             doc=len(allocs), dispatch_count=rng.randint(1, 200),
             seed=rng.randrange(1 << 30))
+        table = instance_times(w, HW, config)
         for least_loaded in (False, True):
             sink = io.BytesIO()
-            traced = simulate_dispatch(w, HW, config, least_loaded, sink)
+            traced = simulate_dispatch(w, table, least_loaded, sink)
             busy = [0.0] * w.doc
             for row in sink.getvalue().decode().splitlines()[1:]:
                 i, query_id = row.split(",")[:2]
@@ -199,7 +201,7 @@ def test_criterion_6_concurrency_composition_and_simulator_agreement():
                 busy[i] += warm[key]
             expected = w.dispatch_count / max(busy)
             assert traced == expected
-            assert simulate_dispatch(w, HW, config, least_loaded) == expected
+            assert simulate_dispatch(w, table, least_loaded) == expected
 
     # Homogeneous: dispatch count divisible by every tested DoC, so the
     # round-robin split is exact and simulation equals the analytic rate.
@@ -208,8 +210,9 @@ def test_criterion_6_concurrency_composition_and_simulator_agreement():
         w = WorkloadSpec(queries=homogeneous, doc=doc, dispatch_count=840,
                          seed=6)
         config = equal_split_config(doc)
-        est = estimate_qps(w, HW, config)
-        sim = simulate_dispatch(w, HW, config)
+        table = instance_times(w, HW, config)
+        est = estimate_qps(w, table)
+        sim = simulate_dispatch(w, table)
         assert abs(sim - est) / est < 1e-9
 
     # Heterogeneous: tolerance frozen at 0.10 from the oracle sweep (worst
@@ -219,8 +222,9 @@ def test_criterion_6_concurrency_composition_and_simulator_agreement():
     for doc in (2, 3, 7):
         w = WorkloadSpec(queries=queries, doc=doc, dispatch_count=1000, seed=6)
         config = equal_split_config(doc)
-        est = estimate_qps(w, HW, config)
-        sim = simulate_dispatch(w, HW, config)
+        table = instance_times(w, HW, config)
+        est = estimate_qps(w, table)
+        sim = simulate_dispatch(w, table)
         worst = max(worst, abs(sim - est) / est)
     assert worst <= 0.10
     report(6, f"1000 random workloads x 2 dispatch policies: simulated "
@@ -253,7 +257,7 @@ def test_criterion_8_throughput_trends_with_degree_of_concurrency():
     for doc in (1, 2, 3, 7):
         w = WorkloadSpec(queries=((overhead_heavy, 1.0),), doc=doc,
                          dispatch_count=840, seed=8)
-        qps = estimate_qps(w, HW, equal_split_config(doc))
+        qps = estimate_qps(w, instance_times(w, HW, equal_split_config(doc)))
         if doc == 1:
             base = qps
         speedups[doc] = qps / base
@@ -268,10 +272,10 @@ def test_criterion_8_throughput_trends_with_degree_of_concurrency():
         cpu_overhead=0.0, query_id="saturated")
     w1 = WorkloadSpec(queries=((saturated, 1.0),), doc=1, dispatch_count=840,
                       seed=8)
-    base = estimate_qps(w1, HW, equal_split_config(1))
+    base = estimate_qps(w1, instance_times(w1, HW, equal_split_config(1)))
     w7 = WorkloadSpec(queries=((saturated, 1.0),), doc=7, dispatch_count=840,
                       seed=8)
-    flat = estimate_qps(w7, HW, equal_split_config(7)) / base
+    flat = estimate_qps(w7, instance_times(w7, HW, equal_split_config(7))) / base
     assert abs(flat - 1.0) <= 0.10
     report(8, f"overhead-dominated speedups {speedups[2]:.2f}/"
               f"{speedups[3]:.2f}/{speedups[7]:.2f} strictly increase at "

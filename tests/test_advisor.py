@@ -4,12 +4,7 @@ from dataclasses import replace
 import pytest
 
 from roofcast import concurrency
-from roofcast.advisor import (
-    Objective,
-    advise,
-    enumerate_configs,
-    scaling_curve,
-)
+from roofcast.advisor import Objective, advise, enumerate_configs
 from roofcast.concurrency import WorkloadSpec, estimate_qps, instance_times
 from roofcast.core import (
     HardwareSpec,
@@ -19,6 +14,8 @@ from roofcast.core import (
     default_hardware_spec,
 )
 from roofcast.errors import ConfigError, ValidationError
+from roofcast.ingest import aggregate
+from roofcast.scaling import scaling_curve
 
 from conftest import profile_from_utils
 
@@ -120,9 +117,10 @@ def test_advise_rows_come_from_the_estimator_table():
     assert len(report.rows) == len(enumerate_configs(HW))
     for row in report.rows:
         scoped = replace(w, doc=len(row.config.instances))
+        table = instance_times(scoped, HW, row.config)
         means = [sum(wt * t for wt, t in zip(weights, times))
-                 for times in instance_times(scoped, HW, row.config)]
-        assert row.predicted_qps == estimate_qps(scoped, HW, row.config)
+                 for times in table]
+        assert row.predicted_qps == estimate_qps(scoped, table)
         assert row.predicted_mean_latency == sum(means) / len(means)
         assert row.to_dict()["confidence_flags"] == []
 
@@ -132,38 +130,38 @@ def test_advise_rows_come_from_the_estimator_table():
 
 
 def test_scaling_curve_baseline_at_full_fraction():
-    profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.04)
-    curve = scaling_curve(profile, HW, [0.5, 1.0])
+    m = aggregate(profile_from_utils(HW, **UNDER_UTILIZED, t0=0.04), HW)
+    curve = scaling_curve(m, HW, [0.5, 1.0])
     assert curve[-1][0] == 1.0
     assert curve[-1][1] == pytest.approx(0.04, rel=1e-9)
 
 
 def test_scaling_curve_flat_until_attained_bandwidth_then_rising():
     # 30% DRAM utilization: the knee sits at fraction 0.3
-    profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.04)
+    m = aggregate(profile_from_utils(HW, **UNDER_UTILIZED, t0=0.04), HW)
     fractions = [0.1, 0.15, 0.3, 0.5, 1.0]
-    curve = dict(scaling_curve(profile, HW, fractions))
+    curve = dict(scaling_curve(m, HW, fractions))
     assert curve[1.0] == curve[0.5] == curve[0.3]
     assert curve[0.15] == pytest.approx(2 * curve[0.3], rel=1e-6)
     assert curve[0.1] == pytest.approx(3 * curve[0.3], rel=1e-6)
 
 
 def test_scaling_curve_nonincreasing_in_fraction():
-    profile = profile_from_utils(HW, **SATURATED, t0=0.04)
+    m = aggregate(profile_from_utils(HW, **SATURATED, t0=0.04), HW)
     fractions = [i / 16 for i in range(1, 17)]
-    curve = scaling_curve(profile, HW, fractions)
+    curve = scaling_curve(m, HW, fractions)
     times = [t for _, t in curve]
     assert all(later <= earlier for earlier, later in zip(times, times[1:]))
 
 
 def test_scaling_curve_validates_fractions():
-    profile = profile_from_utils(HW, **UNDER_UTILIZED)
+    m = aggregate(profile_from_utils(HW, **UNDER_UTILIZED), HW)
     with pytest.raises(ValidationError):
-        scaling_curve(profile, HW, [])
+        scaling_curve(m, HW, [])
     with pytest.raises(ValidationError):
-        scaling_curve(profile, HW, [0.5, 0.25])
+        scaling_curve(m, HW, [0.5, 0.25])
     with pytest.raises(ValidationError):
-        scaling_curve(profile, HW, [0.5, 1.5])
+        scaling_curve(m, HW, [0.5, 1.5])
 
 
 def test_advise_uses_the_weights_estimate_qps_sees():
@@ -180,7 +178,8 @@ def test_advise_uses_the_weights_estimate_qps_sees():
         [wt for _, wt in w.queries]
     for row in advise(w, HW, Objective.MIN_LATENCY).rows:
         scoped = replace(w, doc=len(row.config.instances))
-        assert row.predicted_qps == estimate_qps(scoped, HW, row.config)
+        assert row.predicted_qps == estimate_qps(
+            scoped, instance_times(scoped, HW, row.config))
 
 
 def test_advise_aggregates_each_profile_once(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,8 @@ import yaml
 
 from roofcast.cli import main
 from roofcast.core import default_hardware_spec
-from roofcast.ingest import profile_to_dict
+from roofcast.ingest import aggregate, profile_to_dict
+from roofcast.scaling import slowdown_unified
 
 from conftest import profile_from_utils, unlimited
 
@@ -116,6 +119,7 @@ def test_ingest_bad_counter_value_exits_2_naming_row_and_column(
     err = capsys.readouterr().err
     assert code == 2
     assert named in err
+    assert "set_int_max_str_digits" not in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -145,6 +149,7 @@ def test_profile_with_a_long_integer_exits_2_naming_the_file(tmp_path,
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}: invalid profile JSON: Exceeds the limit" in err
+        assert "set_int_max_str_digits" not in err
         assert "Traceback" not in err
 
 
@@ -319,6 +324,48 @@ def test_concurrency_mps_shares_memory(tmp_path, capsys):
     assert mps_qps == pytest.approx(4 * mig_qps, rel=0.06)
 
 
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Calls of each function by name, made through any roofcast module
+    that bound it (`from .ingest import aggregate` copies the binding)."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name.partition(".")[0] == "roofcast"]
+    for fn in functions:
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["concurrency", "predict-curve"])
+def test_an_answer_aggregates_each_profile_once(tmp_path, capsys, monkeypatch,
+                                                command):
+    if command == "concurrency":
+        # Five profiles on an equal split: one distinct allocation.
+        queries = [{"profile": profile_to_dict(profile_from_utils(
+                        HW, util_compute=0.1, util_dram=0.3, util_l2=0.2,
+                        t0=0.01 * (i + 1), query_id=f"q{i}")), "weight": 1.0}
+                   for i in range(5)]
+        workload = tmp_path / "workload.json"
+        workload.write_text(json.dumps({"schema_version": 1, "doc": 2,
+                                        "queries": queries}))
+        argv = ["concurrency", "--workload", str(workload)]
+        expected = {"aggregate": 5, "slowdown_unified": 5}
+    else:
+        # One prediction under --mig, then one per point of the curve.
+        argv = ["predict", "--profile", str(write_profile(tmp_path)),
+                "--mig", "1g.5gb", "--curve", str(tmp_path / "curve.csv")]
+        expected = {"aggregate": 1, "slowdown_unified": 1 + 16}
+    calls = count_calls(monkeypatch, aggregate, slowdown_unified)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == expected
+
+
 def test_advise_reports_18_rows(tmp_path, capsys):
     profile = write_profile(tmp_path)
     workload = write_workload(tmp_path, profile, doc=1)
@@ -463,6 +510,7 @@ def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert named in captured.err
+    assert "set_int_max_str_digits" not in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
@@ -531,6 +579,7 @@ def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert named in err
+    assert "set_int_max_str_digits" not in err
     assert "Traceback" not in err
 
 

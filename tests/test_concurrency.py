@@ -54,28 +54,28 @@ def make_workload(profiles_weights, doc=1, dispatch_count=840, seed=1):
 def test_qps_doc1_full_gpu_is_reciprocal_mean():
     profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.09, cpu_overhead=0.01)
     w = make_workload([(profile, 1.0)], doc=1)
-    qps = estimate_qps(w, HW, equal_split_config(1))
+    qps = estimate_qps(w, instance_times(w, HW, equal_split_config(1)))
     assert qps == 1.0 / warm_query_time(profile, HW, full_allocation())
     assert qps == pytest.approx(10.0, rel=1e-9)
 
 
 def test_qps_under_utilized_doubles_with_two_slices():
     profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.05, cpu_overhead=0.005)
-    base = estimate_qps(make_workload([(profile, 1.0)], doc=1), HW,
-                        equal_split_config(1))
-    two = estimate_qps(make_workload([(profile, 1.0)], doc=2), HW,
-                       equal_split_config(2))
+    w1 = make_workload([(profile, 1.0)], doc=1)
+    base = estimate_qps(w1, instance_times(w1, HW, equal_split_config(1)))
+    w2 = make_workload([(profile, 1.0)], doc=2)
+    two = estimate_qps(w2, instance_times(w2, HW, equal_split_config(2)))
     # 30% DRAM utilization is untouched by a half slice: rates add exactly
     assert two == pytest.approx(2 * base, rel=1e-12)
 
 
 def test_qps_saturated_memory_bound_flat_in_doc():
     profile = profile_from_utils(HW, **SATURATED, t0=0.05, cpu_overhead=0.0)
-    base = estimate_qps(make_workload([(profile, 1.0)], doc=1), HW,
-                        equal_split_config(1))
+    w1 = make_workload([(profile, 1.0)], doc=1)
+    base = estimate_qps(w1, instance_times(w1, HW, equal_split_config(1)))
     for doc in (2, 3, 7):
-        qps = estimate_qps(make_workload([(profile, 1.0)], doc=doc), HW,
-                           equal_split_config(doc))
+        w = make_workload([(profile, 1.0)], doc=doc)
+        qps = estimate_qps(w, instance_times(w, HW, equal_split_config(doc)))
         assert qps == pytest.approx(base, rel=1e-9)
 
 
@@ -83,7 +83,7 @@ def test_qps_mismatched_doc_is_error():
     profile = profile_from_utils(HW, **UNDER_UTILIZED)
     w = make_workload([(profile, 1.0)], doc=3)
     with pytest.raises(ValidationError, match="instances"):
-        estimate_qps(w, HW, equal_split_config(2))
+        instance_times(w, HW, equal_split_config(2))
 
 
 def test_simulator_matches_estimate_on_homogeneous_workload():
@@ -91,8 +91,9 @@ def test_simulator_matches_estimate_on_homogeneous_workload():
     for doc in (1, 2, 3, 7):
         w = make_workload([(profile, 1.0)], doc=doc, dispatch_count=840)
         config = equal_split_config(doc)
-        est = estimate_qps(w, HW, config)
-        sim = simulate_dispatch(w, HW, config)
+        table = instance_times(w, HW, config)
+        est = estimate_qps(w, table)
+        sim = simulate_dispatch(w, table)
         assert abs(sim - est) / est < 1e-9
 
 
@@ -103,10 +104,10 @@ def test_simulator_deterministic_and_traces():
                               query_id="slow")
     w = make_workload([(fast, 2.0), (slow, 1.0)], doc=3, dispatch_count=300,
                       seed=42)
-    config = equal_split_config(3)
+    table = instance_times(w, HW, equal_split_config(3))
     sink1, sink2 = io.BytesIO(), io.BytesIO()
-    qps1 = simulate_dispatch(w, HW, config, trace_sink=sink1)
-    qps2 = simulate_dispatch(w, HW, config, trace_sink=sink2)
+    qps1 = simulate_dispatch(w, table, trace_sink=sink1)
+    qps2 = simulate_dispatch(w, table, trace_sink=sink2)
     assert qps1 == qps2
     assert sink1.getvalue() == sink2.getvalue()
     lines = sink1.getvalue().decode().splitlines()
@@ -121,9 +122,9 @@ def test_simulator_least_loaded_never_slower_on_heterogeneous_mix():
     slow = profile_from_utils(HW, **SATURATED, t0=0.2, query_id="slow")
     w = make_workload([(fast, 3.0), (slow, 1.0)], doc=4, dispatch_count=400,
                       seed=9)
-    config = equal_split_config(4)
-    rr = simulate_dispatch(w, HW, config)
-    ll = simulate_dispatch(w, HW, config, least_loaded=True)
+    table = instance_times(w, HW, equal_split_config(4))
+    rr = simulate_dispatch(w, table)
+    ll = simulate_dispatch(w, table, least_loaded=True)
     assert ll >= rr
 
 
@@ -254,8 +255,9 @@ def test_simulator_matches_reference_exactly(case, least_loaded, seed):
     expected_sink, sink = io.BytesIO(), io.BytesIO()
     expected = reference_simulate_dispatch(w, HW, config, least_loaded,
                                            expected_sink)
-    assert simulate_dispatch(w, HW, config, least_loaded) == expected
-    assert simulate_dispatch(w, HW, config, least_loaded, sink) == expected
+    table = instance_times(w, HW, config)
+    assert simulate_dispatch(w, table, least_loaded) == expected
+    assert simulate_dispatch(w, table, least_loaded, sink) == expected
     assert sink.getvalue() == expected_sink.getvalue()
 
 
@@ -279,7 +281,8 @@ def test_trace_streams_in_bounded_chunks(least_loaded):
     expected_sink, sink = io.BytesIO(), RecordingSink()
     expected = reference_simulate_dispatch(w, HW, config, least_loaded,
                                            expected_sink)
-    assert simulate_dispatch(w, HW, config, least_loaded, sink) == expected
+    table = instance_times(w, HW, config)
+    assert simulate_dispatch(w, table, least_loaded, sink) == expected
     assert sink.getvalue() == expected_sink.getvalue()
     assert len(sink.rows_per_write) > 2
     assert max(sink.rows_per_write) <= 1 << 16
@@ -290,7 +293,7 @@ def test_trace_streams_in_bounded_chunks(least_loaded):
 def test_simulator_without_trace_keeps_no_per_dispatch_state(least_loaded):
     n = 200_000
     w = make_workload(mixed_queries(), doc=7, dispatch_count=n, seed=5)
-    config = equal_split_config(7)
+    table = instance_times(w, HW, equal_split_config(7))
     choices = random.Random(w.seed).choices(
         range(len(w.queries)), weights=[weight for _, weight in w.queries],
         k=n)
@@ -298,11 +301,11 @@ def test_simulator_without_trace_keeps_no_per_dispatch_state(least_loaded):
     del choices
     tracemalloc.start()
     try:
-        simulate_dispatch(w, HW, config, least_loaded)
+        simulate_dispatch(w, table, least_loaded)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * choices_size
+    assert peak < 1.25 * choices_size
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,30 @@ def test_functions_the_benchmark_traces_exist():
         value = getattr(importlib.import_module(f"roofcast.{module}"), func,
                         None)
         assert inspect.isfunction(value), name
+
+
+def test_arguments_the_benchmark_reads_keep_their_positions():
+    # KEYS and UNITS in perfbench/child.py read a traced call's arguments
+    # with _arg(args, kwargs, index, "name"): by position when the caller
+    # passed it so, else by keyword. Each index must still be that parameter.
+    child = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    tree = ast.parse(child.read_text(encoding="utf-8"))
+    reads = []
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] in (["KEYS"], ["UNITS"])):
+            continue
+        for key, value in zip(node.value.keys, node.value.values):
+            reads.extend(
+                (key.value, call.args[2].value, call.args[3].value)
+                for call in ast.walk(value)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_arg")
+    assert {traced for traced, _, _ in reads} >= {
+        "ingest.aggregate", "scaling.slowdown_unified",
+        "concurrency.simulate_dispatch"}
+    for traced, index, name in reads:
+        module, func = traced.rsplit(".", 1)
+        fn = getattr(importlib.import_module(f"roofcast.{module}"), func)
+        params = list(inspect.signature(fn).parameters)
+        assert params[index] == name, (traced, index, params)

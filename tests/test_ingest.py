@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import random
+import tracemalloc
 from collections.abc import Mapping
 from operator import itemgetter
 from pathlib import Path
@@ -320,6 +322,27 @@ def test_clean_columns_are_never_read_row_by_row(monkeypatch):
     assert records == [KernelRecord("k0", 1e-6, 1, 2, 3)] * n
     profile = make_profile(records)
     assert read_profile_json(write_profile_json(profile)) == profile
+
+
+def test_wide_csv_parse_keeps_no_copy_of_the_text():
+    # 4,000 kernels with 30 columns the reader ignores, about 1 MB.
+    rng = random.Random(4)
+    header = [*CANONICAL_HEADER, *(f"extra_{j}" for j in range(30))]
+    rows = [[f"kernel_{i % 8}", rng.randint(10**3, 10**6),
+             *(rng.randint(0, 10**9) for _ in range(3)),
+             *(rng.randint(0, 1 << 20) for _ in range(30))]
+            for i in range(4000)]
+    sink = io.StringIO()
+    csv.writer(sink).writerows([header, *rows])
+    data = sink.getvalue().encode()
+    tracemalloc.start()
+    try:
+        records = parse_counter_file(io.BytesIO(data), "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4000
+    assert peak < 3 * len(data)
 
 
 # ---------------------------------------------------------------------------
