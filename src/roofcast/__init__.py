@@ -23,6 +23,7 @@ from .ingest import (
     KernelRecord,
     QueryProfile,
     aggregate,
+    load_profile,
     parse_counter_file,
     validate_against_roofs,
 )

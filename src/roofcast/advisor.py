@@ -88,15 +88,15 @@ def _sort_key(objective: Objective):
                       r.resource_fraction_used, r.config.name)
 
 
-def advise(w: WorkloadSpec, hw: HardwareSpec, objective: Objective,
-           configs: list[PartitionConfig] | None = None) -> WhatIfReport:
-    """Evaluate every configuration and rank by the objective.
+def advise(w: WorkloadSpec, hw: HardwareSpec,
+           objective: Objective) -> WhatIfReport:
+    """Evaluate every configuration of hw's catalog and rank by the
+    objective.
 
     The workload's own degree of concurrency is ignored; each configuration
     is evaluated at its instance count.
     """
-    if configs is None:
-        configs = enumerate_configs(hw)
+    configs = enumerate_configs(hw)
     # Rebuilding the spec normalizes its weights a second time, which can
     # move a weight by an ulp. Each row must equal estimate_qps on
     # replace(w, doc=<the config's instance count>), which sees these

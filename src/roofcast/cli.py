@@ -35,7 +35,7 @@ from .core import (
     full_allocation,
     load_hardware_spec,
 )
-from .errors import InternalInvariantError, ValidationError, utf8_text
+from .errors import InternalInvariantError, ValidationError
 from .evalkit import (
     ErrorSample,
     error_cdf,
@@ -46,9 +46,9 @@ from .evalkit import (
 )
 from .ingest import (
     aggregate,
+    load_profile,
     parse_counter_file,
     QueryProfile,
-    read_profile_json,
     validate_against_roofs,
     write_profile_json,
 )
@@ -197,13 +197,9 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_profile(path: str, manifest: RunManifest) -> QueryProfile:
-    return read_profile_json(utf8_text(manifest.read(path), path), path)
-
-
 def cmd_roofline(args) -> int:
     manifest = RunManifest.of(args)
-    profile = _load_profile(args.profile, manifest)
+    profile = load_profile(args.profile, manifest.read)
     hw = _resolve_hw(args, manifest)
     metrics = aggregate(profile, hw)
     roofs = {level: (build_ceilings(hw, full_allocation(), level),
@@ -233,7 +229,7 @@ def cmd_roofline(args) -> int:
 
 def cmd_predict(args) -> int:
     manifest = RunManifest.of(args)
-    profile = _load_profile(args.profile, manifest)
+    profile = load_profile(args.profile, manifest.read)
     hw = _resolve_hw(args, manifest)
     if args.alloc:
         alloc = _parse_alloc(args.alloc)

@@ -10,7 +10,6 @@ dispatcher.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import deque
@@ -31,17 +30,17 @@ from .core import (
 from .errors import (
     SchemaError,
     ValidationError,
-    check_schema_version,
+    check_keys,
     coerce,
-    reason,
+    parse_json,
     utf8_text,
 )
 from .ingest import (
     AggregateMetrics,
     QueryProfile,
     aggregate,
+    load_profile,
     profile_from_dict,
-    read_profile_json,
 )
 from .scaling import slowdown_unified
 
@@ -269,7 +268,8 @@ def equal_split_config(doc: int, mps: bool = False) -> PartitionConfig:
 # Workload JSON document
 # ---------------------------------------------------------------------------
 
-_WORKLOAD_KEYS = {"schema_version", "queries", "doc", "dispatch_count", "seed"}
+_WORKLOAD_REQUIRED = {"schema_version", "queries", "doc"}
+_WORKLOAD_OPTIONAL = {"dispatch_count", "seed"}
 
 
 def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
@@ -279,30 +279,19 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
 
     Profile files are read with `read`, relative paths from base_dir.
     """
-    if not isinstance(doc, Mapping):
-        raise SchemaError("workload document must be a mapping")
-    unknown = set(doc) - _WORKLOAD_KEYS
-    if unknown:
-        raise SchemaError(f"workload document: unknown keys {sorted(unknown)}")
-    missing = {"schema_version", "queries", "doc"} - set(doc)
-    if missing:
-        raise SchemaError(f"workload document: missing keys {sorted(missing)}")
-    check_schema_version(doc, WORKLOAD_SCHEMA_VERSION, "workload document")
+    check_keys(doc, "workload document", _WORKLOAD_REQUIRED,
+               _WORKLOAD_OPTIONAL, WORKLOAD_SCHEMA_VERSION)
     if not isinstance(doc["queries"], list):
         raise SchemaError("workload document: queries must be a list")
     queries = []
     for i, entry in enumerate(doc["queries"]):
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"queries[{i}] must be a mapping")
-        unknown = set(entry) - {"profile", "weight"}
-        if unknown:
-            raise SchemaError(f"queries[{i}]: unknown keys {sorted(unknown)}")
-        raw_profile = entry.get("profile")
+        check_keys(entry, f"queries[{i}]", {"profile"}, {"weight"})
+        raw_profile = entry["profile"]
         if isinstance(raw_profile, str):
             path = Path(raw_profile)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            profile = read_profile_json(utf8_text(read(path), path), path)
+            profile = load_profile(path, read)
         elif isinstance(raw_profile, Mapping):
             profile = profile_from_dict(raw_profile)
         else:
@@ -326,9 +315,5 @@ def load_workload(path: str | Path,
     """Load a workload document and the profile files it names, each file
     read once with `read`."""
     path = Path(path)
-    try:
-        doc = json.loads(utf8_text(read(path), path))
-    except ValueError as exc:   # also an int past the int-to-text limit
-        raise SchemaError(
-            f"{path}: invalid workload JSON: {reason(exc)}") from exc
+    doc = parse_json(utf8_text(read(path), path), path, "workload JSON")
     return workload_from_dict(doc, base_dir=path.parent, read=read)

@@ -20,7 +20,7 @@ from .errors import (
     ConfigError,
     SchemaError,
     ValidationError,
-    check_schema_version,
+    check_keys,
     coerce,
     reason,
     utf8_text,
@@ -211,12 +211,10 @@ _HW_OPTIONAL = {"l2_request_bytes", "mig_catalog"}
 
 _INSTANCE_KEYS = {"name", "compute", "dram_bw", "l2_bw", "mem_capacity"}
 
-
-def _reject_unknown(mapping: Mapping, allowed: set[str], context: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise SchemaError(
-            f"{context}: unknown keys {sorted(unknown, key=str)}")
+# The deepest nesting a hardware spec may have; the bundled one is 5 deep.
+# yaml's C composer recurses once per level and would overflow the C stack
+# (a crash no handler sees) long before Python's recursion limit.
+_MAX_YAML_DEPTH = 64
 
 
 def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
@@ -224,15 +222,10 @@ def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
         raise SchemaError("mig_catalog must be a list of configs")
     configs = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"mig_catalog[{i}] must be a mapping")
-        _reject_unknown(entry, {"name", "instances", "shared_memory"},
-                        f"mig_catalog[{i}]")
-        try:
-            name = entry["name"]
-            raw_instances = entry["instances"]
-        except KeyError as exc:
-            raise SchemaError(f"mig_catalog[{i}]: missing key {exc}") from None
+        check_keys(entry, f"mig_catalog[{i}]", {"name", "instances"},
+                   {"shared_memory"})
+        name = entry["name"]
+        raw_instances = entry["instances"]
         if not isinstance(raw_instances, list):
             raise SchemaError(f"mig_catalog[{i}].instances must be a list, "
                               f"got {raw_instances!r}")
@@ -243,12 +236,7 @@ def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
         instances = []
         for j, inst in enumerate(raw_instances):
             context = f"mig_catalog[{i}].instances[{j}]"
-            if not isinstance(inst, dict):
-                raise SchemaError(f"{context} must be a mapping")
-            _reject_unknown(inst, _INSTANCE_KEYS, context)
-            missing = _INSTANCE_KEYS - set(inst)
-            if missing:
-                raise SchemaError(f"{context}: missing keys {sorted(missing)}")
+            check_keys(inst, context, _INSTANCE_KEYS)
             instances.append(PartitionInstance(
                 name=str(inst["name"]),
                 compute_fraction=coerce(inst["compute"], float,
@@ -268,13 +256,8 @@ def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
 
 def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
     """Build a HardwareSpec from a parsed config document, converting units."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("hardware spec document must be a mapping")
-    _reject_unknown(doc, _HW_REQUIRED | _HW_OPTIONAL, "hardware spec")
-    missing = _HW_REQUIRED - set(doc)
-    if missing:
-        raise SchemaError(f"hardware spec: missing keys {sorted(missing)}")
-    check_schema_version(doc, HW_SCHEMA_VERSION, "hardware spec")
+    check_keys(doc, "hardware spec", _HW_REQUIRED, _HW_OPTIONAL,
+               HW_SCHEMA_VERSION)
 
     def number(key: str, scale: float) -> float:
         # Checked here too, so the message names the key the user wrote;
@@ -310,9 +293,16 @@ def load_hardware_spec(path: str | Path,
     """Load a hardware spec (and its partition catalog) from a YAML file,
     read once with `read`."""
     text = utf8_text(read(Path(path)), path)
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
-                                              yaml.SafeLoader))
+        depth = 0
+        for event in yaml.parse(text, Loader=loader):
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
+            if depth > _MAX_YAML_DEPTH:
+                raise yaml.YAMLError(
+                    f"nested deeper than {_MAX_YAML_DEPTH} levels")
+        doc = yaml.load(text, Loader=loader)
     # ValueError: an integer past the interpreter's int-to-text limit.
     except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {reason(exc)}") from exc

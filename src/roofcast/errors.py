@@ -1,11 +1,15 @@
-"""Exception hierarchy shared by all roofcast modules.
+"""Exception hierarchy shared by all roofcast modules, and the one reader
+of each input format (UTF-8 text, JSON, CSV rows, document keys) that
+raises it.
 
 The CLI maps these onto exit codes: ValidationError (and subclasses)
 exit 2, I/O errors exit 1, InternalInvariantError exit 3.
 """
 
+import csv
 import io
-from typing import IO
+import json
+from collections.abc import Iterator, Mapping, Set
 
 
 class RoofcastError(Exception):
@@ -62,30 +66,86 @@ def utf8_text(data: bytes, source: object) -> str:
 
 
 def reason(exc: Exception) -> str:
-    """exc's message, less the advice Python appends when an integer is past
-    its int-to-text limit: a CLI user cannot call set_int_max_str_digits."""
+    """exc's message, less the advice Python appends that a CLI user cannot
+    act on: to call set_int_max_str_digits when an integer is past the
+    int-to-text limit, or to open a CSV file in universal-newline mode."""
     return str(exc).removesuffix(
-        "; use sys.set_int_max_str_digits() to increase the limit")
+        "; use sys.set_int_max_str_digits() to increase the limit"
+    ).removesuffix(" - do you need to open the file in universal-newline mode?")
 
 
-def utf8_lines(data: bytes, source: object) -> IO[str]:
-    """data as a text stream for csv.reader, or utf8_text's ValidationError.
+def parse_json(text: str, source: object, what: str) -> object:
+    """The JSON document in text, or a ParseError naming source, the file it
+    was read from, and what it should hold: "<source>: invalid <what>: ...".
 
-    All of data is checked first, so the error gives the offset of the bad
-    byte in the file. The stream then decodes data a block at a time and
-    keeps no copy of the whole text; only "\n" ends a line, as in
-    io.StringIO.
+    Nesting too deep for the decoder is refused the same way.
+    """
+    try:
+        return json.loads(text)
+    # ValueError: also an int past the int-to-text limit.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{source}: invalid {what}: {reason(exc)}") from None
+
+
+# Rows csv_chunks hands out at a time: enough to spread a column reader's
+# fixed cost over many rows, few enough that a wide file's cells are never
+# all held.
+CSV_CHUNK_ROWS = 128
+
+
+def csv_chunks(data: bytes, source: object, what: str
+               ) -> Iterator[tuple[int, list[list[str]]]]:
+    """The rows of a CSV file in lists, each with the number of its first
+    row: the header alone (row 1), then the other rows, at most
+    CSV_CHUNK_ROWS at a time. source names the file, what its kind.
+
+    All of data is checked to be UTF-8 first, so an error gives the offset
+    of the bad byte; then it is decoded a block at a time, with no copy of
+    the whole text, and only "\n" ends a line. A row the csv module cannot
+    split raises a ParseError naming source and the row, after the rows
+    before it were handed out, so their errors come first.
     """
     utf8_text(data, source)
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         newline="\n"))
+    row_no, rows, size = 1, [], 1
+    try:
+        for row in reader:
+            rows.append(row)
+            if len(rows) == size:
+                yield row_no, rows
+                row_no, rows, size = row_no + size, [], CSV_CHUNK_ROWS
+    except csv.Error as exc:
+        if rows:
+            yield row_no, rows
+        raise ParseError(
+            f"{source}: row {row_no + len(rows)}: {reason(exc)}") from None
+    if row_no == 1:
+        raise SchemaError(f"empty {what}: header row required")
+    yield row_no, rows
 
 
-def check_schema_version(doc, expected: int, context: str) -> None:
-    """A SchemaError unless doc["schema_version"] is `expected`; true is
-    not 1."""
-    version = doc["schema_version"]
-    if version.__class__ is bool or version != expected:
-        raise SchemaError(f"{context}: unsupported schema_version {version!r}")
+def check_keys(doc: object, context: str, required: Set[str],
+               optional: Set[str] = frozenset(), version: int | None = None
+               ) -> None:
+    """A SchemaError naming context unless doc is a mapping with every
+    required key and no other than the optional ones; with a version, its
+    schema_version (a required key) must be that version, and true is not 1.
+    """
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{context} must be a mapping")
+    unknown = set(doc) - required - optional
+    if unknown:
+        raise SchemaError(
+            f"{context}: unknown keys {sorted(unknown, key=str)}")
+    missing = required - set(doc)
+    if missing:
+        raise SchemaError(f"{context}: missing keys {sorted(missing)}")
+    if version is not None:
+        found = doc["schema_version"]
+        if found.__class__ is bool or found != version:
+            raise SchemaError(
+                f"{context}: unsupported schema_version {found!r}")
 
 
 def coerce(value, cast: type[int] | type[float], field: str):

@@ -11,14 +11,13 @@ predictors; oracle and predictor share no slowdown code path.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence
 
 from .core import HardwareSpec, ResourceAllocation, default_hardware_spec
-from .errors import SchemaError, ValidationError, utf8_lines
+from .errors import SchemaError, ValidationError, csv_chunks
 from .ingest import KernelRecord, QueryProfile, aggregate
 
 
@@ -46,9 +45,12 @@ def nearest_rank(values: Sequence[float], p: float) -> float:
         raise ValidationError("percentile of empty sample set")
     if not 0 < p <= 100:
         raise ValidationError(f"percentile must be in (0, 100], got {p}")
-    ordered = sorted(values)
-    rank = math.ceil(p / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    return _at_rank(sorted(values), p)
+
+
+def _at_rank(ordered: Sequence[float], p: float) -> float:
+    """nearest_rank of values already sorted."""
+    return ordered[math.ceil(p / 100.0 * len(ordered)) - 1]
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,10 @@ class ErrorCdf:
 def error_cdf(samples: Sequence[ErrorSample]) -> ErrorCdf:
     if not samples:
         raise ValidationError("error_cdf needs at least one sample")
-    errors = [s.relative_error_pct for s in samples]
-    points = tuple((p, nearest_rank(errors, p)) for p in range(1, 101))
-    return ErrorCdf(points=points,
-                    median_pct=nearest_rank(errors, 50),
-                    p95_pct=nearest_rank(errors, 95))
+    errors = sorted(s.relative_error_pct for s in samples)
+    points = tuple((p, _at_rank(errors, p)) for p in range(1, 101))
+    return ErrorCdf(points=points, median_pct=points[49][1],
+                    p95_pct=points[94][1])
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +90,24 @@ def write_samples_csv(samples: Sequence[ErrorSample], sink: IO[bytes]) -> None:
 
 
 def read_samples_csv(stream: IO[bytes]) -> list[ErrorSample]:
-    reader = csv.reader(utf8_lines(stream.read(),
-                                   getattr(stream, "name", "samples file")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty samples file: header row required") from None
+    chunks = csv_chunks(stream.read(), getattr(stream, "name", "samples file"),
+                        "samples file")
+    _, [header] = next(chunks)
     if [h.strip() for h in header] != ["label", "estimated", "actual"]:
         raise SchemaError(
             "samples CSV header must be exactly 'label,estimated,actual'")
     samples = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"row {row_no}: expected 3 fields, got {len(row)}")
-        try:
-            samples.append(ErrorSample(row[0], float(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise SchemaError(f"row {row_no}: {exc}") from None
+    for start, rows in chunks:
+        for row_no, row in enumerate(rows, start=start):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise SchemaError(
+                    f"row {row_no}: expected 3 fields, got {len(row)}")
+            try:
+                samples.append(ErrorSample(row[0], float(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise SchemaError(f"row {row_no}: {exc}") from None
     return samples
 
 

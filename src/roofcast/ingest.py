@@ -20,28 +20,29 @@ seconds, bytes, and ops.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, mul
+from pathlib import Path
 from typing import IO, NamedTuple
 
 from .core import HardwareSpec
 from .errors import (
+    CSV_CHUNK_ROWS,
     DegenerateProfileError,
     ParseError,
     SchemaError,
     ValidationError,
-    check_schema_version,
+    check_keys,
     coerce,
+    csv_chunks,
     integral,
-    reason,
-    utf8_lines,
+    parse_json,
     utf8_text,
 )
 
@@ -271,9 +272,9 @@ def _record_from_values(values: tuple, row: int) -> KernelRecord:
         raise _conversion_error(values, row) from None
 
 
-# Rows _column_records converts at a time: enough to spread its fixed cost
-# over many rows, few enough that a wide CSV's cells are never all held.
-_CHUNK_ROWS = 128
+# Kernel objects _column_records converts at a time: as many as the CSV rows
+# csv_chunks hands it.
+_CHUNK_ROWS = CSV_CHUNK_ROWS
 
 
 def _finite_column(column: tuple) -> Sequence[float]:
@@ -369,27 +370,6 @@ def _records_from_objects(objects: list, label: str,
     return records
 
 
-def _csv_chunks(reader: Iterator[list[str]]
-                ) -> Iterator[tuple[int, list[list[str]]]]:
-    """reader's rows, at most _CHUNK_ROWS at a time, each list with the row
-    number of its first row (the header is row 1).
-
-    A row the csv module cannot split raises a ParseError naming it, after
-    the rows before it were handed out, so their errors come first.
-    """
-    row_no, rows = 2, []
-    try:
-        for row in reader:
-            rows.append(row)
-            if len(rows) == _CHUNK_ROWS:
-                yield row_no, rows
-                row_no, rows = row_no + len(rows), []
-    except csv.Error as exc:
-        yield row_no, rows
-        raise ParseError(f"row {row_no + len(rows)}: {exc}") from None
-    yield row_no, rows
-
-
 def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRecord]:
     """Parse a profiler counter export into one record per kernel launch."""
     if format not in ("csv", "json"):
@@ -397,24 +377,16 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
     data = stream.read()
     source = getattr(stream, "name", "counter file")
     if format == "json":
-        text = utf8_text(data, source)
-        try:
-            rows = json.loads(text)
-        except ValueError as exc:   # also an int past the int-to-text limit
-            raise ParseError(
-                f"{source}: invalid JSON counter file: {reason(exc)}") from exc
+        rows = parse_json(utf8_text(data, source), source, "JSON counter file")
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
         return _records_from_objects(rows, "row {}", "row {}: expected an object")
 
-    reader = csv.reader(utf8_lines(data, source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty counter file: header row required") from None
+    chunks = csv_chunks(data, source, "counter file")
+    _, [header] = next(chunks)
     getter = itemgetter(*_canonical_columns(header, "header"))
     records = []
-    for row_no, rows in _csv_chunks(reader):
+    for row_no, rows in chunks:
         # Rows that are empty or short go row by row, which skips or names them.
         full = list(filter(None, rows))
         kernels = None
@@ -535,12 +507,12 @@ def validate_against_roofs(m: AggregateMetrics, hw: HardwareSpec) -> list[str]:
 # Profile JSON document
 # ---------------------------------------------------------------------------
 
-_PROFILE_KEYS = {
-    "schema_version", "query_id", "system", "scale_factor", "kernels",
+_PROFILE_REQUIRED = {
+    "schema_version", "query_id", "system", "scale_factor", "kernels"}
+_PROFILE_OPTIONAL = {
     "cpu_overhead_s", "setup_overhead_s", "transfer_in_bytes",
     "transfer_out_bytes", "dram_utilization", "l1_hit_rate", "l2_hit_rate",
-    "plan",
-}
+    "plan"}
 
 
 def _header_dict(profile: QueryProfile) -> dict:
@@ -577,16 +549,8 @@ def profile_to_dict(profile: QueryProfile) -> dict:
 
 
 def profile_from_dict(doc: Mapping) -> QueryProfile:
-    if not isinstance(doc, Mapping):
-        raise SchemaError("profile document must be a mapping")
-    unknown = set(doc) - _PROFILE_KEYS
-    if unknown:
-        raise SchemaError(f"profile document: unknown keys {sorted(unknown)}")
-    missing = {"schema_version", "query_id", "system", "scale_factor",
-               "kernels"} - set(doc)
-    if missing:
-        raise SchemaError(f"profile document: missing keys {sorted(missing)}")
-    check_schema_version(doc, PROFILE_SCHEMA_VERSION, "profile document")
+    check_keys(doc, "profile document", _PROFILE_REQUIRED, _PROFILE_OPTIONAL,
+               PROFILE_SCHEMA_VERSION)
     if not isinstance(doc["kernels"], list):
         raise SchemaError("profile document: kernels must be a list")
     kernels = _records_from_objects(
@@ -653,10 +617,11 @@ def write_profile_json(profile: QueryProfile) -> str:
 
 def read_profile_json(text: str, source: object = "profile") -> QueryProfile:
     """The profile in a JSON document; errors name source, its file."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:   # also an int past the int-to-text limit
-        raise ParseError(
-            f"{source}: invalid profile JSON: {reason(exc)}") from exc
-    return profile_from_dict(doc)
+    return profile_from_dict(parse_json(text, source, "profile JSON"))
+
+
+def load_profile(path: str | Path,
+                 read: Callable[[str | Path], bytes]) -> QueryProfile:
+    """The profile in a JSON file, read once with `read`; errors name path."""
+    return read_profile_json(utf8_text(read(path), path), path)
 

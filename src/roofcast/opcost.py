@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .core import HardwareSpec
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, check_keys
 from .ingest import QueryProfile
 
 DEFAULT_CACHELINE_BYTES = 128
@@ -168,23 +168,19 @@ def extrapolate_sf(profile: QueryProfile, op_plan: Sequence[ScanOp | ProbeOp],
 # Plan encoding in profile JSON ("plan" array of operator objects)
 # ---------------------------------------------------------------------------
 
-_SCAN_KEYS = {"op", "rows", "width_bytes"}
-_PROBE_KEYS = {"op", "rows", "key_width_bytes", "hashtable_bytes",
-               "l1_hit_rate", "l2_hit_rate", "l1_line_bytes", "l2_line_bytes"}
+_PROBE_REQUIRED = {"op", "rows", "hashtable_bytes"}
+_PROBE_OPTIONAL = {"key_width_bytes", "l1_hit_rate", "l2_hit_rate",
+                   "l1_line_bytes", "l2_line_bytes"}
 
 
 def op_from_dict(obj: Mapping) -> ScanOp | ProbeOp:
     kind = obj.get("op")
     if kind == "scan":
-        unknown = set(obj) - _SCAN_KEYS
-        if unknown:
-            raise SchemaError(f"scan op: unknown keys {sorted(unknown)}")
+        check_keys(obj, "scan op", {"op", "rows"}, {"width_bytes"})
         return ScanOp(rows=int(obj["rows"]),
                       width_bytes=int(obj.get("width_bytes", 4)))
     if kind == "probe":
-        unknown = set(obj) - _PROBE_KEYS
-        if unknown:
-            raise SchemaError(f"probe op: unknown keys {sorted(unknown)}")
+        check_keys(obj, "probe op", _PROBE_REQUIRED, _PROBE_OPTIONAL)
         return ProbeOp(
             rows=int(obj["rows"]),
             key_width_bytes=int(obj.get("key_width_bytes", 4)),

@@ -71,8 +71,8 @@ def test_advise_tiebreak_prefers_smaller_footprint_then_name():
     # 30% utilization: both fractions leave the query untouched -> equal QPS
     configs = [single("b-half", 0.5), single("a-half", 0.5),
                single("quarter", 0.4)]
-    report = advise(workload([(profile, 1.0)]), HW, Objective.MAX_THROUGHPUT,
-                    configs=configs)
+    hw = replace(HW, mig_catalog=configs)
+    report = advise(workload([(profile, 1.0)]), hw, Objective.MAX_THROUGHPUT)
     assert [r.config.name for r in report.rows] == ["quarter", "a-half", "b-half"]
 
 

@@ -478,6 +478,8 @@ def shared_catalog(**fields) -> list:
      "mig_catalog[0].instances must be a list"),
     ("advise", {"mig_catalog": shared_catalog(instances=[5])},
      "mig_catalog[0].instances[0] must be a mapping"),
+    ("advise", {"mig_catalog": [{"instances": []}]},
+     "mig_catalog[0]: missing keys ['name']"),
     ("advise", {"mig_catalog": shared_catalog(
         instances=[{"name": "x", "compute": "half", "dram_bw": 1.0,
                     "l2_bw": 1.0, "mem_capacity": 1.0}])},
@@ -546,6 +548,50 @@ def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys,
     assert captured.out == ""
 
 
+# Input a loader must refuse by name rather than crash on: the command line,
+# which of its files is broken, what that file holds and the message.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+UNPARSABLE = {
+    "counter-json": (["ingest", "--input", "{bad}"], "bad.json", DEEP_JSON,
+                     "invalid JSON counter file: maximum recursion depth"),
+    "profile": (["roofline", "--profile", "{bad}"], "bad.json", DEEP_JSON,
+                "invalid profile JSON: maximum recursion depth"),
+    "workload": (["concurrency", "--workload", "{bad}"], "bad.json",
+                 DEEP_JSON, "invalid workload JSON: maximum recursion depth"),
+    "workload-profile": (["concurrency", "--workload", "{workload}"],
+                         "profile.json", DEEP_JSON,
+                         "invalid profile JSON: maximum recursion depth"),
+    "counter-csv-header": (
+        ["ingest", "--input", "{bad}"], "bad.csv",
+        "kernel_name,duration_ns\rdram_bytes,l2_requests,int_ops\n",
+        "row 1: new-line character seen in unquoted field"),
+    "samples-row": (["eval", "--samples", "{bad}"], "bad.csv",
+                    "label,estimated,actual\na,1\r,2\n",
+                    "row 2: new-line character seen in unquoted field"),
+    "hardware-spec": (["roofline", "--profile", "{profile}", "--hw", "{bad}"],
+                      "bad.yaml", "name: " + "[" * 100 + "]" * 100 + "\n",
+                      "invalid YAML: nested deeper than 64 levels"),
+}
+
+
+@pytest.mark.parametrize("argv, bad_name, text, message", UNPARSABLE.values(),
+                         ids=UNPARSABLE.keys())
+def test_unparsable_input_exits_2_naming_the_file(tmp_path, capsys, argv,
+                                                  bad_name, text, message):
+    profile = write_profile(tmp_path)
+    workload = write_workload(tmp_path, profile)
+    bad = tmp_path / bad_name
+    bad.write_text(text)
+    paths = {"bad": bad, "profile": profile, "workload": workload}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{bad}: {message}" in captured.err
+    assert "universal-newline" not in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     profile = write_profile(tmp_path)
     workload = write_workload(tmp_path, profile, doc=3)
@@ -556,6 +602,7 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, named", [
     ({"queries": ["profile.json"]}, "queries[0] must be"),
+    ({"queries": [{"weight": 1.0}]}, "queries[0]: missing keys ['profile']"),
     ({"queries": [{"profile": "profile.json", "weight": "heavy"}]},
      "queries[0].weight must be"),
     ({"queries": [{"profile": "profile.json", "weight": float("nan")}]},

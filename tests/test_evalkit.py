@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from roofcast.core import ResourceAllocation, default_hardware_spec, full_allocation
 from roofcast.errors import SchemaError, ValidationError
@@ -52,6 +53,19 @@ def test_error_cdf_median_of_two_is_lower_under_nearest_rank():
     assert cdf.p95_pct == 100.0
     with pytest.raises(ValidationError):
         error_cdf([])
+
+
+@given(st.lists(st.tuples(st.floats(0, 1e6), st.floats(1e-6, 1e6)),
+                min_size=1, max_size=300))
+def test_error_cdf_points_are_nearest_ranks(pairs):
+    samples = [ErrorSample(str(i), est, act)
+               for i, (est, act) in enumerate(pairs)]
+    errors = [s.relative_error_pct for s in samples]
+    cdf = error_cdf(samples)
+    assert cdf.points == tuple((p, nearest_rank(errors, p))
+                               for p in range(1, 101))
+    assert (cdf.median_pct, cdf.p95_pct) == (nearest_rank(errors, 50),
+                                             nearest_rank(errors, 95))
 
 
 def test_samples_csv_roundtrip():

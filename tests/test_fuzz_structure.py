@@ -1,0 +1,161 @@
+"""Broken structure in otherwise valid input files, through cli.main.
+
+Each case takes one valid counter CSV, counter JSON, profile, workload,
+samples CSV or hardware spec and nests it deeply, puts a CR or NUL at
+random offsets, truncates it, prefixes a UTF-8 BOM or repeats a key. Then
+it runs the command that reads the file. Whatever the damage, the run
+exits 0, 1 or 2 without a traceback.
+"""
+
+import contextlib
+import copy
+import csv
+import io
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+from roofcast.cli import main
+
+from test_fuzz_cli import COUNTERS, HARDWARE, PROFILE, WORKLOAD
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _csv(rows):
+    sink = io.StringIO()
+    csv.writer(sink, lineterminator="\n").writerows(rows)
+    return sink.getvalue()
+
+
+# Each input file: its document, how it is written, and the command that
+# reads it.
+INPUTS = {
+    "counters.csv": (
+        [list(COUNTERS[0]), *(list(row.values()) for row in COUNTERS)], _csv,
+        ["ingest", "--input", "{work}/counters.csv"]),
+    "counters.json": (COUNTERS, json.dumps,
+                      ["ingest", "--input", "{work}/counters.json"]),
+    "profile.json": (PROFILE, json.dumps,
+                     ["predict", "--profile", "{work}/profile.json",
+                      "--mig", "1g.5gb"]),
+    "workload.json": (WORKLOAD, json.dumps,
+                      ["concurrency", "--workload", "{work}/workload.json"]),
+    "samples.csv": ([["label", "estimated", "actual"], ["a", 1.5, 2.0],
+                     ["b", 3.0, 2.5]], _csv,
+                    ["eval", "--samples", "{work}/samples.csv"]),
+    "hw.yaml": (HARDWARE, yaml.safe_dump,
+                ["advise", "--workload", "{work}/workload.json",
+                 "--hw", "{work}/hw.yaml", "--objective", "max-throughput"]),
+}
+
+MARK = "NESTED_HERE"
+
+
+def _leaves(doc, path=()):
+    """The path of every scalar in doc."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+
+
+def deep_nesting(name, rng):
+    """One scalar replaced by a list nested far deeper than any document."""
+    doc, dumps, _ = INPUTS[name]
+    doc = copy.deepcopy(doc)
+    *parents, last = rng.choice(_leaves(doc))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = MARK
+    # The C YAML composer would crash past about 30,000 levels; that depth
+    # runs in a child process below.
+    depth = rng.choice([100, 1_000] if name.endswith(".yaml")
+                       else [500, 100_000])
+    nested = "[" * depth + "]" * depth
+    return dumps(doc).replace(f'"{MARK}"', nested).replace(MARK, nested)
+
+
+def cr_or_nul(name, rng):
+    text = INPUTS[name][1](INPUTS[name][0])
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice("\r\0") + text[at:]
+    return text
+
+
+def truncation(name, rng):
+    text = INPUTS[name][1](INPUTS[name][0])
+    return text[:rng.randrange(len(text))]
+
+
+def bom(name, rng):
+    return "﻿" + INPUTS[name][1](INPUTS[name][0])
+
+
+KEYS = {".json": re.compile(r'"\w+": '), ".yaml": re.compile(r"(?m)^ *\w+: ")}
+
+
+def duplicate_key(name, rng):
+    """One key written twice, the copy first with another value; in a CSV
+    header, one column named twice."""
+    text = INPUTS[name][1](INPUTS[name][0])
+    if name.endswith(".csv"):
+        header, rest = text.split("\n", 1)
+        cells = header.split(",")
+        cells.insert(rng.randrange(len(cells) + 1), rng.choice(cells))
+        return ",".join(cells) + "\n" + rest
+    key = rng.choice(list(KEYS[Path(name).suffix].finditer(text)))
+    value = rng.choice(["0", "1.5", "true", "null", "[]", "{}", '"x"'])
+    sep = ", " if name.endswith(".json") else "\n"
+    return text[:key.start()] + key.group() + value + sep + text[key.start():]
+
+
+MUTATIONS = [deep_nesting, cr_or_nul, truncation, bom, duplicate_key]
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", INPUTS)
+def test_broken_structure_exits_0_1_or_2_without_traceback(tmp_path, name,
+                                                           mutate):
+    rng = random.Random(f"{name}/{mutate.__name__}")
+    for _ in range(4):
+        for other, (doc, dumps, _) in INPUTS.items():
+            (tmp_path / other).write_text(dumps(doc), encoding="utf-8")
+        (tmp_path / name).write_bytes(mutate(name, rng).encode("utf-8"))
+        argv = [arg.format(work=tmp_path) for arg in INPUTS[name][2]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(tmp_path / "out.json")])
+        assert code in (0, 1, 2), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+
+
+def test_hardware_spec_nested_30000_deep_exits_2_naming_the_file(tmp_path):
+    # A child process: were the depth check to go, the crash would end only
+    # this test.
+    (tmp_path / "profile.json").write_text(json.dumps(PROFILE))
+    hw = tmp_path / "hw.yaml"
+    hw.write_text("name: " + "[" * 30_000 + "]" * 30_000 + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "roofcast.cli", "roofline",
+         "--profile", str(tmp_path / "profile.json"), "--hw", str(hw)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert f"{hw}: invalid YAML: nested deeper than" in result.stderr
+    assert "Traceback" not in result.stderr

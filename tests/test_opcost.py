@@ -265,3 +265,11 @@ def test_op_from_dict_rejects_unknown():
         op_from_dict({"op": "sort", "rows": 10})
     with pytest.raises(SchemaError):
         op_from_dict({"op": "scan", "rows": 10, "mystery": 1})
+
+
+def test_op_from_dict_names_missing_keys():
+    with pytest.raises(SchemaError,
+                       match=r"probe op: missing keys \['hashtable_bytes'\]"):
+        op_from_dict({"op": "probe", "rows": 10})
+    with pytest.raises(SchemaError, match=r"scan op: missing keys \['rows'\]"):
+        op_from_dict({"op": "scan"})
