@@ -97,7 +97,8 @@ def csv_chunks(data: bytes, source: object, what: str
                ) -> Iterator[tuple[int, list[list[str]]]]:
     """The rows of a CSV file in lists, each with the number of its first
     row: the header alone (row 1), then the other rows, at most
-    CSV_CHUNK_ROWS at a time. source names the file, what its kind.
+    CSV_CHUNK_ROWS at a time. source names the file and what its kind, for
+    the SchemaError an empty file raises.
 
     All of data is checked to be UTF-8 first, so an error gives the offset
     of the bad byte; then it is decoded a block at a time, with no copy of

@@ -478,8 +478,6 @@ def shared_catalog(**fields) -> list:
      "mig_catalog[0].instances must be a list"),
     ("advise", {"mig_catalog": shared_catalog(instances=[5])},
      "mig_catalog[0].instances[0] must be a mapping"),
-    ("advise", {"mig_catalog": [{"instances": []}]},
-     "mig_catalog[0]: missing keys ['name']"),
     ("advise", {"mig_catalog": shared_catalog(
         instances=[{"name": "x", "compute": "half", "dram_bw": 1.0,
                     "l2_bw": 1.0, "mem_capacity": 1.0}])},
@@ -492,6 +490,8 @@ def shared_catalog(**fields) -> list:
      "peak_l2_gbps must exceed peak_dram_gbps (cache sits above DRAM); "
      "got 5 vs 10.0"),
     ("predict", {"sm_count": LONG_INT}, "hw.yaml: invalid YAML: Exceeds the"),
+    ("advise", {"mig_catalog": [{"instances": []}]},
+     "mig_catalog[0]: missing keys ['name']"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
@@ -602,7 +602,6 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, named", [
     ({"queries": ["profile.json"]}, "queries[0] must be"),
-    ({"queries": [{"weight": 1.0}]}, "queries[0]: missing keys ['profile']"),
     ({"queries": [{"profile": "profile.json", "weight": "heavy"}]},
      "queries[0].weight must be"),
     ({"queries": [{"profile": "profile.json", "weight": float("nan")}]},
@@ -614,6 +613,7 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     ({"doc": True}, "doc must be an integer, got True"),
     ({"schema_version": True}, "unsupported schema_version True"),
     ({"seed": LONG_INT}, "workload.json: invalid workload JSON: Exceeds the"),
+    ({"queries": [{"weight": 1.0}]}, "queries[0]: missing keys ['profile']"),
 ])
 def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
                                                      fields, named):
