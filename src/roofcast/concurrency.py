@@ -154,74 +154,81 @@ def simulate_dispatch(w: WorkloadSpec, table: list[list[float]],
     the instances of an instance_times table, the one the estimator reads;
     each serves its queue sequentially. Returns dispatch_count / makespan.
     Identical (workload, seed, table) inputs give identical results.
+
+    The draw streams in bounded chunks, each drawn as it is simulated, so
+    memory does not grow with dispatch_count. The chunks continue one
+    random stream: joined, they are the one list that a single draw of
+    dispatch_count would give.
     """
     rng = random.Random(w.seed)
-    weights = [weight for _, weight in w.queries]
-    choices = rng.choices(range(len(w.queries)), weights=weights,
-                          k=w.dispatch_count)
+    population = range(len(w.queries))
+    cum_weights = list(accumulate(weight for _, weight in w.queries))
+    doc, n = len(table), w.dispatch_count
+    step = doc * max(1, _CHUNK // doc)
+    chunks = (rng.choices(population, cum_weights=cum_weights,
+                          k=min(step, n - lo))
+              for lo in range(0, n, step))
     heads = None
     if trace_sink is not None:
         trace_sink.write(b"instance,query_id,start,end\n")
         # heads[i][q] is the "instance,query_id," start of a trace row.
         heads = [[f"{i},{profile.query_id}," for profile, _ in w.queries]
-                 for i in range(w.doc)]
+                 for i in range(doc)]
     dispatch = _least_loaded if least_loaded else _round_robin
-    return w.dispatch_count / dispatch(table, choices, heads, trace_sink)
+    return n / dispatch(table, chunks, heads, trace_sink)
 
 
-# Trace rows are written in dispatch order, this many per write. The text
-# of an end time is reused as the start of the next dispatch on the same
-# instance, which is the same float ("0" for the first).
-_TRACE_CHUNK = 1 << 16
+# Dispatches are drawn, simulated and traced this many at a time (rounded
+# down to a multiple of the instance count), trace rows in dispatch order.
+# The text of an end time is reused as the start of the next dispatch on
+# the same instance, which is the same float ("0" for the first).
+_CHUNK = 1 << 13
 
 
 def _write_rows(sink: IO[bytes], lines: list[str]) -> None:
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _least_loaded(table: list[list[float]], choices: list[int],
+def _least_loaded(table: list[list[float]], chunks: Iterable[list[int]],
                   heads: list[list[str]] | None,
                   sink: IO[bytes] | None) -> float:
     """Send each dispatch to the instance that frees up first, the lowest
     index on ties; return the makespan. With a sink, write one trace row
-    per dispatch."""
+    per dispatch, a chunk at a time."""
     heap = [(0.0, i) for i in range(len(table))]
     marks = ["0"] * len(table)
-    lines = []
-    for q in choices:
-        start, i = heap[0]
-        end = start + table[i][q]
-        heapreplace(heap, (end, i))
-        if sink is not None:
-            mark = f"{end:.12g}"
-            lines.append(f"{heads[i][q]}{marks[i]},{mark}")
-            marks[i] = mark
-            if len(lines) == _TRACE_CHUNK:
-                _write_rows(sink, lines)
-                lines = []
-    if lines:
-        _write_rows(sink, lines)
+    for chunk in chunks:
+        lines = []
+        for q in chunk:
+            start, i = heap[0]
+            end = start + table[i][q]
+            heapreplace(heap, (end, i))
+            if sink is not None:
+                mark = f"{end:.12g}"
+                lines.append(f"{heads[i][q]}{marks[i]},{mark}")
+                marks[i] = mark
+        if lines:
+            _write_rows(sink, lines)
     return max(heap)[0]
 
 
-def _round_robin(table: list[list[float]], choices: list[int],
+def _round_robin(table: list[list[float]], chunks: Iterable[list[int]],
                  heads: list[list[str]] | None,
                  sink: IO[bytes] | None) -> float:
-    """Instance i serves choices[i::doc] back to back; return the makespan.
+    """Instance i serves dispatches i, i + doc, ... back to back; return
+    the makespan.
 
-    Dispatches go one chunk at a time: each instance's share of a chunk is
-    summed left to right with accumulate. With a sink, its trace rows are
-    then interleaved back into dispatch order.
+    Every chunk but the last holds a multiple of doc dispatches, so
+    instance i's share of each is chunk[i::doc], summed left to right with
+    accumulate. With a sink, its trace rows are then interleaved back into
+    dispatch order.
     """
     doc = len(table)
     busy_until = [0.0] * doc
-    step = doc * max(1, _TRACE_CHUNK // doc)
-    n = len(choices)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        lines = None if sink is None else [""] * (hi - lo)
+    for chunk in chunks:
+        lines = None if sink is None else [""] * len(chunk)
         for i, row in enumerate(table):
-            mine = choices[lo + i:hi:doc]
+            mine = chunk[i::doc]
             # The instance's busy-until time, then the end of each of its
             # dispatches in this chunk (each the start of the next one).
             ends = accumulate(map(row.__getitem__, mine), add,

@@ -6,6 +6,7 @@ The CLI maps these onto exit codes: ValidationError (and subclasses)
 exit 2, I/O errors exit 1, InternalInvariantError exit 3.
 """
 
+import codecs
 import csv
 import io
 import json
@@ -55,10 +56,15 @@ def integral(value: object) -> int:
 
 
 def utf8_text(data: bytes, source: object) -> str:
-    """data decoded as UTF-8, or a ValidationError naming source, the file
-    it was read from."""
+    """data decoded as UTF-8, less one leading byte order mark (as
+    spreadsheet exports write), or a ValidationError naming source, the
+    file it was read from.
+
+    The BOM is dropped after decoding, not by the "utf-8-sig" codec, so the
+    offset of a bad byte is an offset into the file.
+    """
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -102,12 +108,16 @@ def csv_chunks(data: bytes, source: object, what: str
 
     All of data is checked to be UTF-8 first, so an error gives the offset
     of the bad byte; then it is decoded a block at a time, with no copy of
-    the whole text, and only "\n" ends a line. A row the csv module cannot
-    split raises a ParseError naming source and the row, after the rows
-    before it were handed out, so their errors come first.
+    the whole text, and only "\n" ends a line. One leading byte order mark
+    is skipped, as utf8_text drops it. A row the csv module cannot split
+    raises a ParseError naming source and the row, after the rows before it
+    were handed out, so their errors come first.
     """
     utf8_text(data, source)
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+    stream = io.BytesIO(data)
+    if data.startswith(codecs.BOM_UTF8):
+        stream.seek(len(codecs.BOM_UTF8))
+    reader = csv.reader(io.TextIOWrapper(stream, encoding="utf-8",
                                          newline="\n"))
     row_no, rows, size = 1, [], 1
     try:

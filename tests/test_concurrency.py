@@ -1,7 +1,6 @@
 import io
 import json
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -261,6 +260,35 @@ def test_simulator_matches_reference_exactly(case, least_loaded, seed):
     assert sink.getvalue() == expected_sink.getvalue()
 
 
+# Dispatches the simulator draws, simulates and traces at a time; on doc
+# instances the chunk is rounded down to a multiple of doc.
+CHUNK = 1 << 13
+
+
+def chunk_for(doc):
+    return doc * (CHUNK // doc)
+
+
+@pytest.mark.parametrize("least_loaded", [False, True],
+                         ids=["round-robin", "least-loaded"])
+@pytest.mark.parametrize("doc", [1, 3, 7])
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                           (3, 5)],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+5"])
+def test_simulator_matches_reference_at_chunk_boundaries(chunks, extra, doc,
+                                                         least_loaded):
+    config = equal_split_config(doc)
+    w = make_workload(mixed_queries(), doc=doc,
+                      dispatch_count=chunks * chunk_for(doc) + extra, seed=11)
+    expected_sink, sink = io.BytesIO(), io.BytesIO()
+    expected = reference_simulate_dispatch(w, HW, config, least_loaded,
+                                           expected_sink)
+    table = instance_times(w, HW, config)
+    assert simulate_dispatch(w, table, least_loaded) == expected
+    assert simulate_dispatch(w, table, least_loaded, sink) == expected
+    assert sink.getvalue() == expected_sink.getvalue()
+
+
 class RecordingSink(io.BytesIO):
     """A byte sink that remembers how many rows each write carried."""
 
@@ -285,27 +313,47 @@ def test_trace_streams_in_bounded_chunks(least_loaded):
     assert simulate_dispatch(w, table, least_loaded, sink) == expected
     assert sink.getvalue() == expected_sink.getvalue()
     assert len(sink.rows_per_write) > 2
-    assert max(sink.rows_per_write) <= 1 << 16
+    # Exactly one chunk per write, so the boundary cases above sit on the
+    # simulator's chunk boundaries.
+    assert max(sink.rows_per_write) == chunk_for(7) <= CHUNK
+
+
+class DiscardingSink:
+    """A byte sink that keeps nothing."""
+
+    def write(self, data):
+        return len(data)
+
+
+def simulation_peak(n, least_loaded, sink):
+    """tracemalloc's peak while simulate_dispatch runs n dispatches."""
+    w = make_workload(mixed_queries(), doc=7, dispatch_count=n, seed=5)
+    table = instance_times(w, HW, equal_split_config(7))
+    tracemalloc.start()
+    try:
+        simulate_dispatch(w, table, least_loaded, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# N dispatches span several chunks already, so 4 * N may peak no higher.
+N = 30_000
 
 
 @pytest.mark.parametrize("least_loaded", [False, True],
                          ids=["round-robin", "least-loaded"])
 def test_simulator_without_trace_keeps_no_per_dispatch_state(least_loaded):
-    n = 200_000
-    w = make_workload(mixed_queries(), doc=7, dispatch_count=n, seed=5)
-    table = instance_times(w, HW, equal_split_config(7))
-    choices = random.Random(w.seed).choices(
-        range(len(w.queries)), weights=[weight for _, weight in w.queries],
-        k=n)
-    choices_size = sys.getsizeof(choices)
-    del choices
-    tracemalloc.start()
-    try:
-        simulate_dispatch(w, table, least_loaded)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * choices_size
+    assert simulation_peak(4 * N, least_loaded, None) <= \
+        1.1 * simulation_peak(N, least_loaded, None)
+
+
+@pytest.mark.parametrize("least_loaded", [False, True],
+                         ids=["round-robin", "least-loaded"])
+def test_simulator_with_trace_keeps_no_per_dispatch_state(least_loaded):
+    assert simulation_peak(4 * N, least_loaded, DiscardingSink()) <= \
+        1.1 * simulation_peak(N, least_loaded, DiscardingSink())
 
 
 # ---------------------------------------------------------------------------

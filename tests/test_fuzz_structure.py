@@ -4,9 +4,11 @@ Each case takes one valid counter CSV, counter JSON, profile, workload,
 samples CSV or hardware spec and nests it deeply, puts a CR or NUL at
 random offsets, truncates it, prefixes a UTF-8 BOM or repeats a key. Then
 it runs the command that reads the file. Whatever the damage, the run
-exits 0, 1 or 2 without a traceback.
+exits 0, 1 or 2 without a traceback. A BOM alone is no damage: each file
+gives the same report with and without one.
 """
 
+import codecs
 import contextlib
 import copy
 import csv
@@ -23,6 +25,7 @@ import pytest
 import yaml
 
 from roofcast.cli import main
+from roofcast.errors import ValidationError, csv_chunks, utf8_text
 
 from test_fuzz_cli import COUNTERS, HARDWARE, PROFILE, WORKLOAD
 
@@ -101,7 +104,7 @@ def truncation(name, rng):
 
 
 def bom(name, rng):
-    return "﻿" + INPUTS[name][1](INPUTS[name][0])
+    return "\ufeff" + INPUTS[name][1](INPUTS[name][0])
 
 
 KEYS = {".json": re.compile(r'"\w+": '), ".yaml": re.compile(r"(?m)^ *\w+: ")}
@@ -125,22 +128,55 @@ def duplicate_key(name, rng):
 MUTATIONS = [deep_nesting, cr_or_nul, truncation, bom, duplicate_key]
 
 
+def _run(tmp_path, name, text):
+    """Exit code and stderr of INPUTS[name]'s command, every input file valid
+    but name's, which holds text; the report goes to out.json."""
+    for other, (doc, dumps, _) in INPUTS.items():
+        (tmp_path / other).write_text(dumps(doc), encoding="utf-8")
+    (tmp_path / name).write_bytes(text.encode("utf-8"))
+    argv = [arg.format(work=tmp_path) for arg in INPUTS[name][2]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(tmp_path / "out.json")])
+    return code, stderr.getvalue()
+
+
 @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
 @pytest.mark.parametrize("name", INPUTS)
 def test_broken_structure_exits_0_1_or_2_without_traceback(tmp_path, name,
                                                            mutate):
     rng = random.Random(f"{name}/{mutate.__name__}")
     for _ in range(4):
-        for other, (doc, dumps, _) in INPUTS.items():
-            (tmp_path / other).write_text(dumps(doc), encoding="utf-8")
-        (tmp_path / name).write_bytes(mutate(name, rng).encode("utf-8"))
-        argv = [arg.format(work=tmp_path) for arg in INPUTS[name][2]]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", str(tmp_path / "out.json")])
-        assert code in (0, 1, 2), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        code, stderr = _run(tmp_path, name, mutate(name, rng))
+        assert code in (0, 1, 2), stderr
+        assert "Traceback" not in stderr
+
+
+def _report(tmp_path, name, text):
+    """The report of _run, less the manifest, which hashes the input."""
+    code, stderr = _run(tmp_path, name, text)
+    assert code == 0, stderr
+    report = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    report.pop("manifest", None)
+    report.pop("manifest_hash", None)
+    return report
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_utf8_bom_is_skipped(tmp_path, name):
+    doc, dumps, _ = INPUTS[name]
+    assert _report(tmp_path, name, bom(name, None)) == \
+        _report(tmp_path, name, dumps(doc))
+
+
+def test_bad_byte_after_a_bom_is_named_by_its_offset_in_the_file():
+    data = codecs.BOM_UTF8 + b"kernel_name\xff\n"
+    message = r"^f: not UTF-8 text \(invalid start byte at byte 14\)$"
+    with pytest.raises(ValidationError, match=message):
+        utf8_text(data, "f")
+    with pytest.raises(ValidationError, match=message):
+        next(csv_chunks(data, "f", "counter file"))
 
 
 def test_hardware_spec_nested_30000_deep_exits_2_naming_the_file(tmp_path):
