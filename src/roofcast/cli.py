@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import IO
 
 from . import __version__
 from .advisor import Objective, advise
@@ -96,6 +96,15 @@ class RunManifest:
         data = Path(path).read_bytes()
         self.input_digests[str(path)] = hashlib.sha256(data).hexdigest()
         return data
+
+    def digest(self, stream: IO[bytes]) -> None:
+        """Digest an input file opened for reading, 64 KiB at a time, and
+        rewind it to be parsed: a CSV input is streamed, never held whole."""
+        digest = hashlib.sha256()
+        while block := stream.read(1 << 16):
+            digest.update(block)
+        self.input_digests[stream.name] = digest.hexdigest()
+        stream.seek(0)
 
     def to_dict(self) -> dict:
         return {
@@ -193,7 +202,11 @@ def cmd_ingest(args) -> int:
         l1_hit_rate=args.l1_hit_rate,
         l2_hit_rate=args.l2_hit_rate,
     )
-    _write_text(write_profile_json(profile), args.out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as sink:
+            write_profile_json(profile, sink)
+    else:
+        write_profile_json(profile, sys.stdout)
     return EXIT_OK
 
 
@@ -332,9 +345,9 @@ def cmd_advise(args) -> int:
 def cmd_eval(args) -> int:
     manifest = RunManifest.of(args)
     if args.samples:
-        stream = io.BytesIO(manifest.read(args.samples))
-        stream.name = args.samples     # a UTF-8 error names the file
-        samples = read_samples_csv(stream)
+        with open(args.samples, "rb") as stream:
+            manifest.digest(stream)
+            samples = read_samples_csv(stream)
         cdf = error_cdf(samples)
         payload = {"n_samples": len(samples), "cdf": cdf.to_dict()}
         _emit_report(payload, manifest, args.out)
@@ -411,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roofline", help="place a profile on the rooflines")
     p.add_argument("--profile", required=True)
-    p.add_argument("--hw", help=f"hardware spec YAML (default ${HW_ENV_VAR} "
-                                "or the bundled A100)")
+    p.add_argument("--hw", help="hardware spec, JSON if named *.json, else "
+                                f"YAML (default ${HW_ENV_VAR} or the bundled "
+                                "A100)")
     p.add_argument("--level", choices=("dram", "l2"), default="dram",
                    help="memory level for --plot output")
     p.add_argument("--plot", help="write chart CSV here")

@@ -14,14 +14,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping
 
-import yaml
-
 from .errors import (
     ConfigError,
     SchemaError,
     ValidationError,
     check_keys,
     coerce,
+    parse_json,
     reason,
     utf8_text,
 )
@@ -179,7 +178,8 @@ def allocation_of(instance: PartitionInstance) -> ResourceAllocation:
 # Hardware spec config file
 # ---------------------------------------------------------------------------
 #
-# YAML schema (all keys required unless noted, unknown keys rejected):
+# Schema, the same in JSON and YAML (all keys required unless noted, unknown
+# keys rejected):
 #
 #   schema_version: 1
 #   name: <text>
@@ -290,9 +290,14 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
 def load_hardware_spec(path: str | Path,
                        read: Callable[[Path], bytes] = Path.read_bytes
                        ) -> HardwareSpec:
-    """Load a hardware spec (and its partition catalog) from a YAML file,
-    read once with `read`."""
+    """Load a hardware spec (and its partition catalog) from a file, read
+    once with `read`: JSON if its name ends in .json, YAML otherwise."""
     text = utf8_text(read(Path(path)), path)
+    if Path(path).suffix == ".json":
+        return hardware_spec_from_dict(
+            parse_json(text, path, "hardware spec JSON"))
+    import yaml     # here, so that only a YAML spec pays for the import
+
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         depth = 0
@@ -311,7 +316,6 @@ def load_hardware_spec(path: str | Path,
 
 def default_hardware_spec() -> HardwareSpec:
     """The bundled A100-40GB spec with its 18-entry partition catalog."""
-    ref = resources.files("roofcast.data").joinpath(f"{DEFAULT_HW_NAME}.yaml")
+    ref = resources.files("roofcast.data").joinpath(f"{DEFAULT_HW_NAME}.json")
     with resources.as_file(ref) as path:
         return load_hardware_spec(path)
-

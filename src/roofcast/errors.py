@@ -8,9 +8,9 @@ exit 2, I/O errors exit 1, InternalInvariantError exit 3.
 
 import codecs
 import csv
-import io
 import json
 from collections.abc import Iterator, Mapping, Set
+from typing import IO
 
 
 class RoofcastError(Exception):
@@ -99,26 +99,48 @@ def parse_json(text: str, source: object, what: str) -> object:
 CSV_CHUNK_ROWS = 128
 
 
-def csv_chunks(data: bytes, source: object, what: str
-               ) -> Iterator[tuple[int, list[list[str]]]]:
-    """The rows of a CSV file in lists, each with the number of its first
-    row: the header alone (row 1), then the other rows, at most
-    CSV_CHUNK_ROWS at a time. source names the file and what its kind, for
-    the SchemaError an empty file raises.
+def _check_utf8(stream: IO[bytes], source: object) -> None:
+    """A ValidationError, as utf8_text raises it, unless stream holds UTF-8
+    text from where it stands to its end; it is read 64 KiB at a time and
+    nothing decoded is kept, and a bad byte's offset counts from there."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    start = 0
+    try:
+        while block := stream.read(1 << 16):
+            decoder.decode(block)
+            start += len(block)
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the bytes the decoder held back from the
+        # blocks before, which a failed decode leaves in place.
+        offset = start - len(decoder.getstate()[0]) + exc.start
+        raise ValidationError(
+            f"{source}: not UTF-8 text ({exc.reason} at byte {offset})"
+        ) from None
 
-    All of data is checked to be UTF-8 first, so an error gives the offset
-    of the bad byte; then it is decoded a block at a time, with no copy of
-    the whole text, and only "\n" ends a line. One leading byte order mark
-    is skipped, as utf8_text drops it. A row the csv module cannot split
-    raises a ParseError naming source and the row, after the rows before it
-    were handed out, so their errors come first.
+
+def csv_chunks(stream: IO[bytes], source: object, what: str
+               ) -> Iterator[tuple[int, list[list[str]]]]:
+    """The rows of the CSV file in a seekable binary stream, in lists, each
+    with the number of its first row: the header alone (row 1), then the
+    other rows, at most CSV_CHUNK_ROWS at a time. source names the file and
+    what its kind, for the SchemaError an empty file raises.
+
+    The whole stream is checked to be UTF-8 first, so an error gives the
+    offset of the bad byte in the file before any row error; then it is
+    read again from the start and decoded a line at a time, and only "\n"
+    ends a line. Neither pass holds the whole file, and the stream is left
+    open. One leading byte order mark is skipped, as utf8_text drops it. A
+    row the csv module cannot split raises a ParseError naming source and
+    the row, after the rows before it were handed out, so their errors come
+    first.
     """
-    utf8_text(data, source)
-    stream = io.BytesIO(data)
-    if data.startswith(codecs.BOM_UTF8):
-        stream.seek(len(codecs.BOM_UTF8))
-    reader = csv.reader(io.TextIOWrapper(stream, encoding="utf-8",
-                                         newline="\n"))
+    _check_utf8(stream, source)
+    stream.seek(0)
+    if stream.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        stream.seek(0)
+    # Binary lines end at b"\n" alone, which no multi-byte character holds.
+    reader = csv.reader(map(bytes.decode, stream))
     row_no, rows, size = 1, [], 1
     try:
         for row in reader:

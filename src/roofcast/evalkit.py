@@ -90,7 +90,7 @@ def write_samples_csv(samples: Sequence[ErrorSample], sink: IO[bytes]) -> None:
 
 
 def read_samples_csv(stream: IO[bytes]) -> list[ErrorSample]:
-    chunks = csv_chunks(stream.read(), getattr(stream, "name", "samples file"),
+    chunks = csv_chunks(stream, getattr(stream, "name", "samples file"),
                         "samples file")
     _, [header] = next(chunks)
     if [h.strip() for h in header] != ["label", "estimated", "actual"]:

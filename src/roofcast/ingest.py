@@ -20,6 +20,7 @@ seconds, bytes, and ops.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -272,8 +273,8 @@ def _record_from_values(values: tuple, row: int) -> KernelRecord:
         raise _conversion_error(values, row) from None
 
 
-# Kernel objects _column_records converts at a time: as many as the CSV rows
-# csv_chunks hands it.
+# Kernel objects _column_records converts, and write_profile_json writes, at
+# a time: as many as the CSV rows csv_chunks hands out.
 _CHUNK_ROWS = CSV_CHUNK_ROWS
 
 
@@ -371,18 +372,22 @@ def _records_from_objects(objects: list, label: str,
 
 
 def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRecord]:
-    """Parse a profiler counter export into one record per kernel launch."""
+    """Parse a profiler counter export into one record per kernel launch.
+
+    A CSV stream must be seekable: csv_chunks reads it twice.
+    """
     if format not in ("csv", "json"):
         raise ValidationError(f"unsupported counter format {format!r}")
-    data = stream.read()
     source = getattr(stream, "name", "counter file")
     if format == "json":
-        rows = parse_json(utf8_text(data, source), source, "JSON counter file")
+        # Temporaries, so the bytes go once decoded and the text once parsed.
+        rows = parse_json(utf8_text(stream.read(), source), source,
+                          "JSON counter file")
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
         return _records_from_objects(rows, "row {}", "row {}: expected an object")
 
-    chunks = csv_chunks(data, source, "counter file")
+    chunks = csv_chunks(stream, source, "counter file")
     _, [header] = next(chunks)
     getter = itemgetter(*_canonical_columns(header, "header"))
     records = []
@@ -593,31 +598,44 @@ _KERNEL_JSON = (
     '    }}').format
 
 
-def write_profile_json(profile: QueryProfile) -> str:
-    """json.dumps(profile_to_dict(profile), indent=2) + "\\n", byte for byte.
+def write_profile_json(profile: QueryProfile,
+                       sink: IO[str] | None = None) -> str | None:
+    """json.dumps(profile_to_dict(profile), indent=2) + "\\n", byte for byte,
+    written to the text sink _CHUNK_ROWS kernels at a time; with no sink,
+    returned as a str.
 
     json.dumps with indent encodes in pure Python, so the kernels, most of a
     wide profile, go through one fixed template instead. KernelRecord keeps
     durations finite in nanoseconds, and for a finite float json.dumps
     writes float.__repr__.
     """
+    out = io.StringIO() if sink is None else sink
     head = json.dumps(_header_dict(profile), indent=2)[:-2]   # drop "\n}"
-    kernels = ",\n".join([
-        _KERNEL_JSON(encode_basestring_ascii(k.kernel_name),
-                     float.__repr__(k.duration * NS_PER_S),
-                     int.__repr__(k.dram_bytes), int.__repr__(k.l2_requests),
-                     int.__repr__(k.int_ops))
-        for k in profile.kernels])
-    kernels = f"[\n{kernels}\n  ]" if kernels else "[]"
+    out.write(f'{head},\n  "kernels": ')
+    kernels = profile.kernels
+    for start in range(0, len(kernels), _CHUNK_ROWS):
+        out.write(",\n" if start else "[\n")
+        out.write(",\n".join([
+            _KERNEL_JSON(encode_basestring_ascii(k.kernel_name),
+                         float.__repr__(k.duration * NS_PER_S),
+                         int.__repr__(k.dram_bytes), int.__repr__(k.l2_requests),
+                         int.__repr__(k.int_ops))
+            for k in kernels[start:start + _CHUNK_ROWS]]))
+    out.write("\n  ]" if kernels else "[]")
     # JSON strings hold no raw newline, so this indents the plan one level.
     plan = json.dumps([dict(op) for op in profile.plan], indent=2)
     plan = plan.replace("\n", "\n  ")
-    return f'{head},\n  "kernels": {kernels},\n  "plan": {plan}\n}}\n'
+    out.write(f',\n  "plan": {plan}\n}}\n')
+    return out.getvalue() if sink is None else None
 
 
 def read_profile_json(text: str, source: object = "profile") -> QueryProfile:
     """The profile in a JSON document; errors name source, its file."""
-    return profile_from_dict(parse_json(text, source, "profile JSON"))
+    doc = parse_json(text, source, "profile JSON")
+    # A caller's temporary text is this frame's alone: free it before the
+    # records are built.
+    del text
+    return profile_from_dict(doc)
 
 
 def load_profile(path: str | Path,

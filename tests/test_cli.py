@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -404,6 +405,8 @@ def test_eval_samples_mode(tmp_path, capsys):
     report = json.loads(out)
     assert report["cdf"]["median_pct"] == pytest.approx(10.0)
     assert report["cdf"]["p95_pct"] == pytest.approx(50.0)
+    assert report["manifest"]["input_digests"] == {
+        str(samples): hashlib.sha256(samples.read_bytes()).hexdigest()}
 
 
 def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):

@@ -1,19 +1,31 @@
+import json
+import os
+import subprocess
+import sys
 import textwrap
+from fnmatch import fnmatch
+from pathlib import Path
 
 import pytest
+import yaml
 
 from roofcast.core import (
     GB,
+    DEFAULT_HW_NAME,
     HardwareSpec,
     PartitionConfig,
     PartitionInstance,
     ResourceAllocation,
     allocation_of,
+    default_hardware_spec,
     full_allocation,
     hardware_spec_from_dict,
     load_hardware_spec,
 )
 from roofcast.errors import SchemaError, ValidationError
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "roofcast" / "data"
 
 
 def make_instance(fraction: float, name: str = "slice") -> PartitionInstance:
@@ -141,3 +153,36 @@ def test_default_spec_peaks(a100):
     assert a100.peak_dram_bw == 1555 * GB
     assert a100.sm_count == 108
     assert a100.host_link_bw == 32 * GB
+
+
+def test_default_spec_loads_without_yaml():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, roofcast.cli\n"
+         "roofcast.cli.default_hardware_spec()\n"
+         "print('yaml' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_bundled_spec_as_yaml_loads_the_same_spec(tmp_path):
+    doc = json.loads((DATA / f"{DEFAULT_HW_NAME}.json").read_text())
+    path = tmp_path / "a100.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert load_hardware_spec(path) == default_hardware_spec()
+
+
+def test_every_bundled_data_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    with (ROOT / "pyproject.toml").open("rb") as source:
+        globs = tomllib.load(source)["tool"]["setuptools"]["package-data"][
+            "roofcast.data"]
+    files = [path.name for path in DATA.iterdir()
+             if path.is_file() and path.name != "__init__.py"]
+    assert files
+    assert [name for name in files
+            if not any(fnmatch(name, glob) for glob in globs)] == []

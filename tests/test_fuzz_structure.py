@@ -1,10 +1,10 @@
 """Broken structure in otherwise valid input files, through cli.main.
 
 Each case takes one valid counter CSV, counter JSON, profile, workload,
-samples CSV or hardware spec and nests it deeply, puts a CR or NUL at
-random offsets, truncates it, prefixes a UTF-8 BOM or repeats a key. Then
-it runs the command that reads the file. Whatever the damage, the run
-exits 0, 1 or 2 without a traceback. A BOM alone is no damage: each file
+samples CSV or hardware spec (YAML or JSON) and nests it deeply, puts a CR
+or NUL at random offsets, truncates it, prefixes a UTF-8 BOM or repeats a
+key. Then it runs the command that reads the file. Whatever the damage, the
+run exits 0, 1 or 2 without a traceback. A BOM alone is no damage: each file
 gives the same report with and without one.
 """
 
@@ -57,6 +57,9 @@ INPUTS = {
     "hw.yaml": (HARDWARE, yaml.safe_dump,
                 ["advise", "--workload", "{work}/workload.json",
                  "--hw", "{work}/hw.yaml", "--objective", "max-throughput"]),
+    "hw.json": (HARDWARE, json.dumps,
+                ["advise", "--workload", "{work}/workload.json",
+                 "--hw", "{work}/hw.json", "--objective", "max-throughput"]),
 }
 
 MARK = "NESTED_HERE"
@@ -176,7 +179,7 @@ def test_bad_byte_after_a_bom_is_named_by_its_offset_in_the_file():
     with pytest.raises(ValidationError, match=message):
         utf8_text(data, "f")
     with pytest.raises(ValidationError, match=message):
-        next(csv_chunks(data, "f", "counter file"))
+        next(csv_chunks(io.BytesIO(data), "f", "counter file"))
 
 
 def test_hardware_spec_nested_30000_deep_exits_2_naming_the_file(tmp_path):
@@ -195,3 +198,12 @@ def test_hardware_spec_nested_30000_deep_exits_2_naming_the_file(tmp_path):
     assert result.returncode == 2, result.stderr
     assert f"{hw}: invalid YAML: nested deeper than" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("text", ['{"name": "x"', "[" * 30_000 + "]" * 30_000],
+                         ids=["truncated", "nested_30000_deep"])
+def test_malformed_json_hardware_spec_exits_2_naming_the_file(tmp_path, text):
+    code, stderr = _run(tmp_path, "hw.json", text)
+    assert code == 2, stderr
+    assert f"{tmp_path / 'hw.json'}: invalid hardware spec JSON: " in stderr
+    assert "Traceback" not in stderr

@@ -16,6 +16,8 @@ from roofcast.errors import (
     ParseError,
     SchemaError,
     ValidationError,
+    parse_json,
+    utf8_text,
 )
 from roofcast import ingest
 from roofcast.ingest import (
@@ -24,6 +26,7 @@ from roofcast.ingest import (
     KernelRecord,
     QueryProfile,
     aggregate,
+    load_profile,
     parse_counter_file,
     profile_from_dict,
     profile_to_dict,
@@ -324,25 +327,113 @@ def test_clean_columns_are_never_read_row_by_row(monkeypatch):
     assert read_profile_json(write_profile_json(profile)) == profile
 
 
-def test_wide_csv_parse_keeps_no_copy_of_the_text():
-    # 4,000 kernels with 30 columns the reader ignores, about 1 MB.
+def test_wide_csv_parse_keeps_no_copy_of_the_text(tmp_path):
+    # 4,000 kernels with 30 number columns and one long text column the
+    # reader ignores, about 2.6 MB: the records and two chunks of rows cost
+    # less than the file, a copy of its bytes or its text would not.
     rng = random.Random(4)
-    header = [*CANONICAL_HEADER, *(f"extra_{j}" for j in range(30))]
+    header = [*CANONICAL_HEADER, *(f"extra_{j}" for j in range(30)), "args"]
     rows = [[f"kernel_{i % 8}", rng.randint(10**3, 10**6),
              *(rng.randint(0, 10**9) for _ in range(3)),
-             *(rng.randint(0, 1 << 20) for _ in range(30))]
+             *(rng.randint(0, 1 << 20) for _ in range(30)), "(int*) " * 57]
             for i in range(4000)]
-    sink = io.StringIO()
-    csv.writer(sink).writerows([header, *rows])
-    data = sink.getvalue().encode()
+    path = tmp_path / "wide.csv"
+    with path.open("w", newline="") as sink:
+        csv.writer(sink).writerows([header, *rows])
+    del rows
     tracemalloc.start()
     try:
-        records = parse_counter_file(io.BytesIO(data), "csv")
+        with path.open("rb") as stream:
+            records = parse_counter_file(stream, "csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(records) == 4000
-    assert peak < 3 * len(data)
+    assert peak < path.stat().st_size
+
+
+# Blocks of the UTF-8 check are 64 KiB: a character split across the first
+# boundary, a bad byte just after it, a character cut short at the end, and
+# a bad byte after a row error, which is still named first.
+BLOCK = 1 << 16
+HEAD = CANONICAL_HEADER_LINE.encode()
+UTF8_CASES = {
+    "split_character": (
+        HEAD + b"k" * (BLOCK - 1 - len(HEAD)) + "\u20ac,1,2,3,4\n".encode(),
+        None),
+    "bad_byte_after_the_boundary": (
+        HEAD + b"k" * (BLOCK - len(HEAD)) + b"\xff,1,2,3,4\n",
+        rf"invalid start byte at byte {BLOCK}\)"),
+    "cut_short_at_the_end": (
+        HEAD + b"k,1,2,3,4\n" + "\u20ac".encode()[:2],
+        rf"unexpected end of data at byte {len(HEAD) + 10}\)"),
+    "bad_byte_after_a_row_error": (
+        HEAD + b"k,x,2,3,4\n" + b"k,1,2,3,4\n" * BLOCK + b"\xff\n",
+        rf"invalid start byte at byte {len(HEAD) + 10 * (BLOCK + 1)}\)"),
+}
+
+
+@pytest.mark.parametrize("data, message", UTF8_CASES.values(), ids=UTF8_CASES)
+def test_utf8_check_across_64_kib_blocks(data, message):
+    stream = io.BytesIO(data)
+    stream.name = "f"
+    if message is None:
+        records = parse_counter_file(stream, "csv")
+        assert records[0] == KernelRecord("k" * (BLOCK - 1 - len(HEAD))
+                                          + "\u20ac", 1e-9, 2, 3, 4)
+        assert not stream.closed        # the caller's to close
+        return
+    with pytest.raises(ValidationError, match=rf"^f: not UTF-8 text \(" + message):
+        parse_counter_file(stream, "csv")
+
+
+def random_profile(n: int, seed: int) -> QueryProfile:
+    rng = random.Random(seed)
+    return make_profile(
+        KernelRecord(f"kernel_{i % 8}", rng.randint(10**3, 10**6) / NS_PER_S,
+                     *(rng.randint(0, 10**9) for _ in range(3)))
+        for i in range(n))
+
+
+def test_load_profile_peaks_as_its_json_parse_alone():
+    # The text is dropped before the records are built, so they take its
+    # place: the peak is the parse's.
+    data = write_profile_json(random_profile(4000, 5)).encode()
+    tracemalloc.start()
+    try:
+        parse_json(utf8_text(data, "p"), "p", "profile JSON")
+        _, parse_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        profile = load_profile("p", lambda path: data)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile.kernels) == 4000
+    assert load_peak <= 1.05 * parse_peak
+
+
+class Discard(io.TextIOBase):
+    """A text sink that keeps nothing written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_write_profile_json_streams_in_bounded_memory():
+    peaks = []
+    for n in (1000, 4000):
+        profile = random_profile(n, 6)
+        tracemalloc.start()
+        try:
+            write_profile_json(profile, Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sink = io.StringIO()
+        assert write_profile_json(profile, sink) is None
+        assert sink.getvalue() == write_profile_json(profile) == \
+            json.dumps(profile_to_dict(profile), indent=2) + "\n"
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
