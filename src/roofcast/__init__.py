@@ -1,7 +1,7 @@
 """Roofline-based performance modeling for GPU database query workloads.
 
 Ingests per-kernel profiler counters, builds DRAM- and L2-level rooflines,
-predicts query time under changed data sizes and GPU resource allocations,
+predicts query time under changed GPU resource allocations,
 estimates throughput under concurrency, and ranks partition configurations
 against user objectives.
 """
@@ -13,7 +13,6 @@ from .core import (
     PartitionConfig,
     PartitionInstance,
     ResourceAllocation,
-    allocation_of,
     default_hardware_spec,
     full_allocation,
     load_hardware_spec,
@@ -36,15 +35,6 @@ from .roofline import (
     classify,
     emit_plot_data,
     place_point,
-)
-from .opcost import (
-    ProbeOp,
-    ScanOp,
-    crystal_probe_time,
-    crystal_scan_time,
-    crystalopt_probe_time,
-    crystalopt_scan_time,
-    extrapolate_sf,
 )
 from .scaling import (
     Confidence,

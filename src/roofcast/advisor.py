@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .core import HardwareSpec, PartitionConfig, ResourceAllocation, allocation_of
+from .core import HardwareSpec, PartitionConfig, ResourceAllocation
 from .errors import ConfigError
 from .concurrency import WorkloadSpec, allocation_times, instance_means
 
@@ -68,7 +68,7 @@ def enumerate_configs(hw: HardwareSpec) -> list[PartitionConfig]:
 def _evaluate_config(config: PartitionConfig,
                      mean_of: dict[ResourceAllocation, float]) -> WhatIfRow:
     """One row from the weighted mean warm time of each allocation."""
-    means = [mean_of[allocation_of(inst)] for inst in config.instances]
+    means = [mean_of[inst.allocation] for inst in config.instances]
     return WhatIfRow(
         config=config,
         predicted_qps=sum(1.0 / mean for mean in means),
@@ -103,7 +103,7 @@ def advise(w: WorkloadSpec, hw: HardwareSpec,
     # weights; they do not depend on doc, so one rebuild serves every row.
     w = replace(w)
     table = allocation_times(
-        w, hw, (allocation_of(inst)
+        w, hw, (inst.allocation
                 for config in configs for inst in config.instances))
     mean_of = dict(zip(table, instance_means(w, list(table.values()))))
     rows = [_evaluate_config(config, mean_of) for config in configs]

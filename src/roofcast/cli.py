@@ -30,7 +30,6 @@ from .concurrency import (
 from .core import (
     HardwareSpec,
     ResourceAllocation,
-    allocation_of,
     default_hardware_spec,
     full_allocation,
     load_hardware_spec,
@@ -150,24 +149,28 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_fractions(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers given to flag, or a ValidationError that
+    names the flag. ResourceAllocation checks their range."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
 def _parse_alloc(text: str) -> ResourceAllocation:
-    parts = text.split(",")
-    if len(parts) != 4:
+    if text.count(",") != 3:
         raise ValidationError(
             "--alloc expects 4 comma-separated fractions in the order "
             "compute,dram,l2,capacity")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ValidationError(f"--alloc: {exc}") from None
-    return ResourceAllocation(*values)
+    return ResourceAllocation(*_parse_fractions(text, "--alloc"))
 
 
 def _find_instance_alloc(hw: HardwareSpec, name: str) -> ResourceAllocation:
     for config in hw.mig_catalog:
         for inst in config.instances:
             if inst.name == name:
-                return allocation_of(inst)
+                return inst.allocation
     raise ValidationError(
         f"no partition instance named {name!r} in the catalog of {hw.name!r}")
 
@@ -295,6 +298,11 @@ def cmd_concurrency(args) -> int:
                  if (value := getattr(args, name)) is not None}
     if overrides:
         workload = replace(workload, **overrides)
+    if workload.doc > hw.sm_count:
+        raise ValidationError(
+            f"doc (degree of concurrency) must be at most {hw.sm_count}, the "
+            f"SM count of {hw.name!r}: every instance needs at least one SM; "
+            f"got {workload.doc}")
     if args.mig:
         config = _find_config(hw, args.mig)
     else:
@@ -354,15 +362,18 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     hw = _resolve_hw(args, manifest)
-    grid = [float(f) for f in args.grid.split(",")]
+    grid = _parse_fractions(args.grid, "--grid")
+    try:
+        allocations = [ResourceAllocation(f, f, f, f) for f in grid]
+    except ValidationError as exc:
+        raise ValidationError(f"--grid: {exc}") from None
     device, profiles = generate_synthetic(args.seed, args.n_queries, hw)
     roofline_samples: list[ErrorSample] = []
     linear_samples: list[ErrorSample] = []
     for profile in profiles:
         metrics = aggregate(profile, hw)
         t0 = metrics.total_duration
-        for f in grid:
-            alloc = ResourceAllocation(f, f, f, f)
+        for f, alloc in zip(grid, allocations):
             actual = oracle_actual_time(device, profile, alloc)
             predicted = slowdown_unified(metrics, t0, hw, alloc).predicted_time
             naive = linear_baseline(t0, f)

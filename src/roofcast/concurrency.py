@@ -25,7 +25,6 @@ from .core import (
     PartitionConfig,
     PartitionInstance,
     ResourceAllocation,
-    allocation_of,
 )
 from .errors import (
     SchemaError,
@@ -124,7 +123,7 @@ def instance_times(w: WorkloadSpec, hw: HardwareSpec,
         raise ValidationError(
             f"config {config.name!r} has {len(config.instances)} instances "
             f"but workload degree of concurrency is {w.doc}")
-    allocations = [allocation_of(inst) for inst in config.instances]
+    allocations = [inst.allocation for inst in config.instances]
     table = allocation_times(w, hw, allocations)
     return [table[alloc] for alloc in allocations]
 
@@ -258,17 +257,10 @@ def equal_split_config(doc: int, mps: bool = False) -> PartitionConfig:
     fraction = 1.0 / doc
     mem = 1.0 if mps else fraction
     mode = "mps" if mps else "mig"
-    instances = tuple(
-        PartitionInstance(
-            name=f"{mode}-split-{doc}",
-            compute_fraction=fraction,
-            dram_bw_fraction=mem,
-            l2_bw_fraction=mem,
-            mem_capacity_fraction=mem,
-        )
-        for _ in range(doc))
-    return PartitionConfig(name=f"{mode}-equal-{doc}", instances=instances,
-                           shared_memory=mps)
+    instance = PartitionInstance(
+        f"{mode}-split-{doc}", ResourceAllocation(fraction, mem, mem, mem))
+    return PartitionConfig(name=f"{mode}-equal-{doc}",
+                           instances=(instance,) * doc, shared_memory=mps)
 
 
 # ---------------------------------------------------------------------------

@@ -59,22 +59,19 @@ class ResourceAllocation:
 
 @dataclass(frozen=True)
 class PartitionInstance:
-    """One physical slice of a partitioned GPU.
+    """One physical slice of a partitioned GPU and the resources it holds.
 
-    Unlike ResourceAllocation, a physical slice can never exceed the GPU,
-    so every fraction must lie in (0, 1].
+    Unlike a what-if ResourceAllocation, a physical slice can never exceed
+    the GPU, so every fraction must lie in (0, 1].
     """
 
     name: str
-    compute_fraction: float
-    dram_bw_fraction: float
-    l2_bw_fraction: float
-    mem_capacity_fraction: float
+    allocation: ResourceAllocation
 
     def __post_init__(self):
         for field in _RESOURCE_FIELDS:
-            value = getattr(self, field)
-            if not 0 < value <= 1.0:
+            value = getattr(self.allocation, field)
+            if value > 1.0:
                 raise ValidationError(
                     f"partition instance {self.name!r}: {field} must be in "
                     f"(0, 1], got {value}")
@@ -113,7 +110,7 @@ class PartitionConfig:
 
     def resource_sums(self) -> dict[str, float]:
         """Per-resource totals across instances, keyed by fraction field."""
-        return {f: sum(getattr(inst, f) for inst in self.instances)
+        return {f: sum(getattr(inst.allocation, f) for inst in self.instances)
                 for f in _RESOURCE_FIELDS}
 
 
@@ -164,16 +161,6 @@ def full_allocation() -> ResourceAllocation:
     return ResourceAllocation(1.0, 1.0, 1.0, 1.0)
 
 
-def allocation_of(instance: PartitionInstance) -> ResourceAllocation:
-    """Resource allocation seen by a process running on one partition slice."""
-    return ResourceAllocation(
-        compute_fraction=instance.compute_fraction,
-        dram_bw_fraction=instance.dram_bw_fraction,
-        l2_bw_fraction=instance.l2_bw_fraction,
-        mem_capacity_fraction=instance.mem_capacity_fraction,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hardware spec config file
 # ---------------------------------------------------------------------------
@@ -209,7 +196,9 @@ _HW_REQUIRED = {
 }
 _HW_OPTIONAL = {"l2_request_bytes", "mig_catalog"}
 
-_INSTANCE_KEYS = {"name", "compute", "dram_bw", "l2_bw", "mem_capacity"}
+# An instance's fraction keys, in ResourceAllocation's field order.
+_INSTANCE_FRACTIONS = ("compute", "dram_bw", "l2_bw", "mem_capacity")
+_INSTANCE_KEYS = {"name", *_INSTANCE_FRACTIONS}
 
 # The deepest nesting a hardware spec may have; the bundled one is 5 deep.
 # yaml's C composer recurses once per level and would overflow the C stack
@@ -237,17 +226,16 @@ def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
         for j, inst in enumerate(raw_instances):
             context = f"mig_catalog[{i}].instances[{j}]"
             check_keys(inst, context, _INSTANCE_KEYS)
-            instances.append(PartitionInstance(
-                name=str(inst["name"]),
-                compute_fraction=coerce(inst["compute"], float,
-                                        f"{context}.compute"),
-                dram_bw_fraction=coerce(inst["dram_bw"], float,
-                                        f"{context}.dram_bw"),
-                l2_bw_fraction=coerce(inst["l2_bw"], float,
-                                      f"{context}.l2_bw"),
-                mem_capacity_fraction=coerce(inst["mem_capacity"], float,
-                                             f"{context}.mem_capacity"),
-            ))
+            inst_name = str(inst["name"])
+            fractions = [coerce(inst[key], float, f"{context}.{key}")
+                         for key in _INSTANCE_FRACTIONS]
+            try:
+                allocation = ResourceAllocation(*fractions)
+            except ValidationError as exc:
+                # The allocation's own check knows the field, not the slice.
+                raise ConfigError(
+                    f"partition instance {inst_name!r}: {exc}") from None
+            instances.append(PartitionInstance(inst_name, allocation))
         configs.append(PartitionConfig(
             name=str(name), instances=tuple(instances),
             shared_memory=shared_memory))

@@ -129,9 +129,9 @@ _checked_record = partial(tuple.__new__, KernelRecord)
 class QueryProfile:
     """One profiled query execution: kernel counters plus host-side costs.
 
-    The cache hit rates and DRAM utilization are query-level counters taken
-    from a single profiling run; they are optional and only needed by the
-    operator cost models and scale-factor extrapolation.
+    The cache hit rates and DRAM utilization are optional query-level
+    counters from a single profiling run. They are checked and carried
+    through the profile file, but no model reads them.
     """
 
     query_id: str
@@ -145,7 +145,6 @@ class QueryProfile:
     dram_utilization: float | None = None
     l1_hit_rate: float | None = None
     l2_hit_rate: float | None = None
-    plan: tuple = ()                # operator descriptions, see opcost module
 
     def __post_init__(self):
         if not (math.isfinite(self.scale_factor) and self.scale_factor > 0):
@@ -165,7 +164,6 @@ class QueryProfile:
             if value is not None and not 0 <= value <= 1:
                 raise ValidationError(f"{fname} must be in [0, 1], got {value}")
         object.__setattr__(self, "kernels", tuple(self.kernels))
-        object.__setattr__(self, "plan", tuple(self.plan))
 
 
 @dataclass(frozen=True)
@@ -407,6 +405,8 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
                         f"row {i}: expected {len(header)} fields, got {len(row)}")
                 kernels.append(_record_from_values(getter(row), i))
         records += kernels
+        # Free this chunk's cells before csv_chunks reads the next one.
+        del rows, full, kernels
     return records
 
 
@@ -549,7 +549,7 @@ def profile_to_dict(profile: QueryProfile) -> dict:
             }
             for k in profile.kernels
         ],
-        "plan": [dict(op) for op in profile.plan],
+        "plan": [],     # a reserved key, always written empty
     }
 
 
@@ -561,6 +561,7 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
     kernels = _records_from_objects(
         doc["kernels"], "kernels[{}]",
         "profile document: kernels[{}] must be a mapping")
+    # "plan" is a reserved key: checked, then ignored.
     plan = doc.get("plan") or []
     if not (isinstance(plan, list) and all(isinstance(op, Mapping) for op in plan)):
         raise SchemaError("profile document: plan must be a list of mappings")
@@ -583,7 +584,6 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
         dram_utilization=optional("dram_utilization"),
         l1_hit_rate=optional("l1_hit_rate"),
         l2_hit_rate=optional("l2_hit_rate"),
-        plan=tuple(dict(op) for op in plan),
     )
 
 
@@ -622,10 +622,7 @@ def write_profile_json(profile: QueryProfile,
                          int.__repr__(k.int_ops))
             for k in kernels[start:start + _CHUNK_ROWS]]))
     out.write("\n  ]" if kernels else "[]")
-    # JSON strings hold no raw newline, so this indents the plan one level.
-    plan = json.dumps([dict(op) for op in profile.plan], indent=2)
-    plan = plan.replace("\n", "\n  ")
-    out.write(f',\n  "plan": {plan}\n}}\n')
+    out.write(',\n  "plan": []\n}\n')
     return out.getvalue() if sink is None else None
 
 

@@ -8,8 +8,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from roofcast.cli import main
 from roofcast.concurrency import (
     WorkloadSpec,
@@ -21,7 +19,6 @@ from roofcast.concurrency import (
 )
 from roofcast.core import (
     ResourceAllocation,
-    allocation_of,
     default_hardware_spec,
     full_allocation,
 )
@@ -34,7 +31,6 @@ from roofcast.ingest import (
     serialize_kernels_csv,
     write_profile_json,
 )
-from roofcast.opcost import ProbeOp, ScanOp, crystal_probe_time, crystalopt_scan_time, crystal_scan_time
 from roofcast.roofline import BoundKind, MemLevel, build_ceilings, classify
 from roofcast.scaling import slowdown_mem, slowdown_unified
 from roofcast.advisor import enumerate_configs
@@ -57,34 +53,6 @@ def random_valid_metrics(rng: random.Random):
         util_l2=rng.uniform(0.01, 0.99),
         t0=rng.uniform(1e-3, 1.0),
     )
-
-
-def test_criterion_1_probe_formula_fidelity():
-    op = ProbeOp(rows=10**9, key_width_bytes=4, hashtable_bytes=60 * 10**6)
-    assert HW.l2_capacity_bytes == 40e6
-    expected = 4e9 / 1.555e12 * (1 + 1 / 3)
-
-    crystal_probe_time(op, HW)  # warm-up
-    start = time.perf_counter()
-    value = crystal_probe_time(op, HW)
-    elapsed = time.perf_counter() - start
-
-    assert value == pytest.approx(expected, rel=1e-9)
-    miss = 1.0 - HW.l2_capacity_bytes / op.hashtable_bytes
-    assert miss == pytest.approx(1 / 3, rel=1e-12)
-    assert elapsed < 1e-3
-    report(1, f"probe time {value:.6e}s matches 4e9/1.555e12*(1+1/3) "
-              f"within 1e-9 rel; call took {elapsed * 1e6:.1f}us")
-
-
-def test_criterion_2_opt_scan_reduces_to_plain_at_full_utilization():
-    rng = random.Random(2)
-    for _ in range(1000):
-        op = ScanOp(rows=rng.randint(0, 10**12),
-                    width_bytes=rng.choice((1, 2, 4, 8, 16)))
-        assert crystalopt_scan_time(op, 1.0, HW) == crystal_scan_time(op, HW)
-    report(2, "utilization-corrected scan equals the plain scan exactly on "
-              "1000 randomized (rows, width) pairs")
 
 
 def test_criterion_3_slowdown_identity_monotonicity_composition():
@@ -181,7 +149,7 @@ def test_criterion_6_concurrency_composition_and_simulator_agreement():
     warm = {}
     for _ in range(1000):
         config = rng.choice(by_doc[rng.randint(1, 7)])
-        allocs = [allocation_of(inst) for inst in config.instances]
+        allocs = [inst.allocation for inst in config.instances]
         chosen = rng.sample(range(len(profiles)), rng.randint(1, 5))
         w = WorkloadSpec(
             queries=tuple((profiles[q], rng.uniform(0.1, 3.0)) for q in chosen),

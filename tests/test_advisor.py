@@ -10,7 +10,7 @@ from roofcast.core import (
     HardwareSpec,
     PartitionConfig,
     PartitionInstance,
-    allocation_of,
+    ResourceAllocation,
     default_hardware_spec,
 )
 from roofcast.errors import ConfigError, ValidationError
@@ -64,7 +64,8 @@ def test_advise_max_throughput_prefers_seven_instances_when_overhead_dominates()
 
 def test_advise_tiebreak_prefers_smaller_footprint_then_name():
     def single(name, fraction):
-        inst = PartitionInstance(name, fraction, fraction, fraction, fraction)
+        inst = PartitionInstance(
+            name, ResourceAllocation(fraction, fraction, fraction, fraction))
         return PartitionConfig(name, (inst,))
 
     profile = profile_from_utils(HW, **UNDER_UTILIZED, t0=0.01, cpu_overhead=0.01)
@@ -199,7 +200,7 @@ def test_advise_aggregates_each_profile_once(monkeypatch):
                                       t0=0.01 * (i + 1)), 1.0)
                   for i in range(n)])
     advise(w, HW, Objective.MAX_THROUGHPUT)
-    distinct = {allocation_of(inst) for config in HW.mig_catalog
+    distinct = {inst.allocation for config in HW.mig_catalog
                 for inst in config.instances}
     assert len(distinct) == 5
     assert calls == {"aggregate": n, "slowdown_unified": 5 * n}

@@ -397,6 +397,21 @@ def test_eval_synthetic_orders_models(tmp_path, capsys):
     assert report["roofline"]["median_pct"] <= report["linear"]["median_pct"]
 
 
+@pytest.mark.parametrize("grid, named", [
+    ("x", "--grid: could not convert string to float: 'x'"),
+    (",", "--grid: could not convert string to float: ''"),
+    ("0.5,,1", "--grid: could not convert string to float: ''"),
+    ("nan", "--grid: compute_fraction must be finite and > 0, got nan"),
+])
+def test_eval_bad_grid_exits_2_naming_the_flag(capsys, grid, named):
+    code = main(["eval", "--n-queries", "2", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_eval_samples_mode(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     samples.write_text("label,estimated,actual\nq1,1.1,1.0\nq2,3.0,2.0\n")
@@ -495,6 +510,15 @@ def shared_catalog(**fields) -> list:
     ("predict", {"sm_count": LONG_INT}, "hw.yaml: invalid YAML: Exceeds the"),
     ("advise", {"mig_catalog": [{"instances": []}]},
      "mig_catalog[0]: missing keys ['name']"),
+    ("advise", {"mig_catalog": shared_catalog(
+        instances=[{"name": "x", "compute": 1.5, "dram_bw": 1.0,
+                    "l2_bw": 1.0, "mem_capacity": 1.0}])},
+     "partition instance 'x': compute_fraction must be in (0, 1], got 1.5"),
+    ("advise", {"mig_catalog": shared_catalog(
+        instances=[{"name": "x", "compute": 0, "dram_bw": 1.0,
+                    "l2_bw": 1.0, "mem_capacity": 1.0}])},
+     "partition instance 'x': compute_fraction must be finite and > 0, "
+     "got 0.0"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
@@ -595,6 +619,18 @@ def test_unparsable_input_exits_2_naming_the_file(tmp_path, capsys, argv,
     assert captured.out == ""
 
 
+def test_concurrency_doc_beyond_the_sm_count_exits_2(tmp_path, capsys):
+    # Each instance of an equal split needs at least one of the 108 SMs.
+    workload = str(write_workload(tmp_path, write_profile(tmp_path)))
+    code, _ = run(capsys, "concurrency", "--workload", workload, "--doc", "108")
+    assert code == 0
+    code = main(["concurrency", "--workload", workload, "--doc", "109"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "doc (degree of concurrency) must be at most 108" in err
+    assert "got 109" in err
+
+
 def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     profile = write_profile(tmp_path)
     workload = write_workload(tmp_path, profile, doc=3)
@@ -617,6 +653,7 @@ def test_invalid_workload_doc_exits_2(tmp_path, capsys):
     ({"schema_version": True}, "unsupported schema_version True"),
     ({"seed": LONG_INT}, "workload.json: invalid workload JSON: Exceeds the"),
     ({"queries": [{"weight": 1.0}]}, "queries[0]: missing keys ['profile']"),
+    ({"doc": 10**20}, "doc (degree of concurrency) must be at most 108"),
 ])
 def test_malformed_workload_exits_2_naming_the_field(tmp_path, capsys,
                                                      fields, named):

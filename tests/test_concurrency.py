@@ -17,7 +17,6 @@ from roofcast.concurrency import (
 )
 from roofcast.core import (
     ResourceAllocation,
-    allocation_of,
     default_hardware_spec,
     full_allocation,
 )
@@ -144,12 +143,12 @@ def test_workload_validation():
 def test_equal_split_config_variants():
     mig = equal_split_config(4)
     assert len(mig.instances) == 4
-    assert mig.instances[0].dram_bw_fraction == 0.25
+    assert mig.instances[0].allocation.dram_bw_fraction == 0.25
 
     mps = equal_split_config(4, mps=True)
-    assert mps.instances[0].compute_fraction == 0.25
-    assert mps.instances[0].dram_bw_fraction == 1.0
-    assert mps.instances[0].l2_bw_fraction == 1.0
+    assert mps.instances[0].allocation.compute_fraction == 0.25
+    assert mps.instances[0].allocation.dram_bw_fraction == 1.0
+    assert mps.instances[0].allocation.l2_bw_fraction == 1.0
 
 
 def test_workload_json_loading(tmp_path):
@@ -370,5 +369,5 @@ def test_instance_times_rows_are_warm_query_times(config):
     table = instance_times(w, HW, config)
     assert len(table) == len(config.instances)
     for inst, row in zip(config.instances, table):
-        assert row == [warm_query_time(p, HW, allocation_of(inst))
+        assert row == [warm_query_time(p, HW, inst.allocation)
                        for p, _ in w.queries]

@@ -16,7 +16,6 @@ from roofcast.core import (
     PartitionConfig,
     PartitionInstance,
     ResourceAllocation,
-    allocation_of,
     default_hardware_spec,
     full_allocation,
     hardware_spec_from_dict,
@@ -29,7 +28,8 @@ DATA = ROOT / "src" / "roofcast" / "data"
 
 
 def make_instance(fraction: float, name: str = "slice") -> PartitionInstance:
-    return PartitionInstance(name, fraction, fraction, fraction, fraction)
+    return PartitionInstance(
+        name, ResourceAllocation(fraction, fraction, fraction, fraction))
 
 
 def test_full_allocation_is_identity():
@@ -40,20 +40,19 @@ def test_full_allocation_is_identity():
     assert alloc.mem_capacity_fraction == 1.0
 
 
-def test_allocation_of_copies_fractions():
+def test_partition_instance_holds_its_allocation():
     half = make_instance(0.5, "half-gpu")
-    alloc = allocation_of(half)
-    assert alloc == ResourceAllocation(0.5, 0.5, 0.5, 0.5)
+    assert half.allocation == ResourceAllocation(0.5, 0.5, 0.5, 0.5)
 
     full = make_instance(1.0, "whole-gpu")
-    assert allocation_of(full) == full_allocation()
+    assert full.allocation == full_allocation()
 
 
 def test_smallest_catalog_slice_is_about_one_eighth(a100):
     smallest = min(
         (inst for config in a100.mig_catalog for inst in config.instances),
-        key=lambda i: i.compute_fraction)
-    alloc = allocation_of(smallest)
+        key=lambda i: i.allocation.compute_fraction)
+    alloc = smallest.allocation
     for value in (alloc.compute_fraction, alloc.dram_bw_fraction,
                   alloc.l2_bw_fraction, alloc.mem_capacity_fraction):
         assert value == pytest.approx(1 / 8, rel=0.05)

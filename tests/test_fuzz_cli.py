@@ -1,9 +1,11 @@
-"""Hostile values in otherwise valid input documents, through cli.main.
+"""Hostile values in otherwise valid input documents and command lines,
+through cli.main.
 
 Each example takes one valid counter export, profile, workload or hardware
-spec, replaces one field with a hostile scalar and runs the command that
-reads it. Whatever the value, the run exits 0, 1 or 2 without a traceback,
-and every JSON document it writes is strict JSON.
+spec, replaces one field (or the value of one numeric flag) with a hostile
+one and runs the command that reads it. Whatever the value, the run exits
+0, 1 or 2 without a traceback, and every JSON document it writes is strict
+JSON.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -108,3 +111,49 @@ def test_hostile_field_exits_0_1_or_2_and_writes_strict_json(field, value):
         if out.exists():
             json.loads(out.read_text(), parse_constant=_reject_constant)
         assert stdout.getvalue() == ""
+
+
+# Hostile text for each numeric flag, run through a command that reads it.
+# --alloc takes four fractions, so the hostile one comes first of four.
+ARGV_VALUES = ["x", "", "nan", "inf", "-1", "0", "1e400",
+               "99999999999999999999"]
+INGEST = ["ingest", "--input", "{work}/counters.json"]
+CONCURRENCY = ["concurrency", "--workload", "{work}/workload.json"]
+FLAGS = [
+    (INGEST, "--scale-factor", "{}"),
+    (INGEST, "--cpu-overhead", "{}"),
+    (INGEST, "--setup-overhead", "{}"),
+    (INGEST, "--transfer-in", "{}"),
+    (INGEST, "--dram-utilization", "{}"),
+    (INGEST, "--l1-hit-rate", "{}"),
+    (["predict", "--profile", "{work}/profile.json"], "--alloc",
+     "{},0.5,0.5,0.5"),
+    (["eval", "--n-queries", "2"], "--grid", "{}"),
+    (CONCURRENCY, "--doc", "{}"),
+    (CONCURRENCY, "--seed", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", ARGV_VALUES)
+@pytest.mark.parametrize("command, flag, form", FLAGS,
+                         ids=[flag for _, flag, _ in FLAGS])
+def test_hostile_flag_value_exits_0_1_or_2(tmp_path, command, flag, form,
+                                           value):
+    docs = {"counters.json": COUNTERS, "profile.json": PROFILE,
+            "workload.json": WORKLOAD}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [arg.format(work=tmp_path) for arg in command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = main([*argv, flag, form.format(value), "--out", str(out)])
+        except SystemExit as exc:   # argparse refuses a value its type rejects
+            code = exc.code
+    assert code in (0, 1, 2), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if out.exists():
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert stdout.getvalue() == ""

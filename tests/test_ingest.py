@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roofcast.errors import (
+    CSV_CHUNK_ROWS,
     DegenerateProfileError,
     ParseError,
     SchemaError,
@@ -329,7 +330,7 @@ def test_clean_columns_are_never_read_row_by_row(monkeypatch):
 
 def test_wide_csv_parse_keeps_no_copy_of_the_text(tmp_path):
     # 4,000 kernels with 30 number columns and one long text column the
-    # reader ignores, about 2.6 MB: the records and two chunks of rows cost
+    # reader ignores, about 2.6 MB: the records and a chunk of rows cost
     # less than the file, a copy of its bytes or its text would not.
     rng = random.Random(4)
     header = [*CANONICAL_HEADER, *(f"extra_{j}" for j in range(30)), "args"]
@@ -350,6 +351,35 @@ def test_wide_csv_parse_keeps_no_copy_of_the_text(tmp_path):
         tracemalloc.stop()
     assert len(records) == 4000
     assert peak < path.stat().st_size
+
+
+def test_csv_parse_holds_one_chunk_of_rows_at_a_time():
+    # 4,000 kernels with 60 extra columns. Over the records it returns, the
+    # parse peaks at the chunk of rows it is reading: the chunk before it
+    # must be freed first, or the peak holds two.
+    rng = random.Random(5)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([*CANONICAL_HEADER, *(f"extra_{j}" for j in range(60))])
+    writer.writerows([f"k{i}", 1000 + i, 4096, 64, 10**6,
+                      *(rng.randint(0, 1 << 20) for _ in range(60))]
+                     for i in range(4000))
+    data = text.getvalue().encode()
+    del text, writer
+    first_chunk = data.splitlines(keepends=True)[1:1 + CSV_CHUNK_ROWS]
+    stream = io.BytesIO(data)
+    tracemalloc.start()
+    try:
+        rows = list(csv.reader(map(bytes.decode, first_chunk)))
+        one_chunk, _ = tracemalloc.get_traced_memory()
+        del rows
+        tracemalloc.reset_peak()
+        records = parse_counter_file(stream, "csv")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4000
+    assert peak - held < 1.5 * one_chunk
 
 
 # Blocks of the UTF-8 check are 64 KiB: a character split across the first
@@ -579,15 +609,11 @@ json_text = st.text(st.one_of(
 counts = st.integers(min_value=0, max_value=2**70)
 any_kernel = st.builds(KernelRecord, kernel_name=json_text, duration=durations,
                        dram_bytes=counts, l2_requests=counts, int_ops=counts)
-plan_value = st.one_of(st.none(), st.booleans(), counts, json_text,
-                       st.floats(allow_nan=False, allow_infinity=False),
-                       st.lists(counts, max_size=2))
 any_profile = st.builds(
     make_profile, st.lists(any_kernel, max_size=4), query_id=json_text,
     system=json_text, scale_factor=st.floats(min_value=1e-3, max_value=1e3),
     cpu_overhead=st.floats(min_value=0, max_value=10), transfer_in_bytes=counts,
-    dram_utilization=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1)),
-    plan=st.lists(st.dictionaries(json_text, plan_value, max_size=3), max_size=3))
+    dram_utilization=st.one_of(st.none(), st.floats(min_value=0.01, max_value=1)))
 
 
 @given(any_profile)
@@ -595,6 +621,16 @@ def test_write_profile_json_is_indented_json_dumps(profile):
     text = write_profile_json(profile)
     assert text == json.dumps(profile_to_dict(profile), indent=2) + "\n"
     assert read_profile_json(text) == profile
+
+
+def test_profile_plan_is_checked_then_ignored():
+    # "plan" is a reserved key: a list of mappings loads and is dropped, so
+    # the profile is written back with it empty.
+    doc = profile_to_dict(make_profile([KernelRecord("k", 1e-3, 1, 1, 1)]))
+    assert doc["plan"] == []
+    profile = profile_from_dict(dict(doc, plan=[{"op": "scan", "rows": 4}]))
+    assert profile == profile_from_dict(doc)
+    assert json.loads(write_profile_json(profile))["plan"] == []
 
 
 def test_profile_json_rejects_unknown_and_wrong_version():
