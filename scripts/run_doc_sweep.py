@@ -56,8 +56,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mps", action="store_true",
                         help="share memory, split compute only")
-    parser.add_argument("--hw", help="hardware spec, JSON if named *.json, "
-                        "else YAML (default: bundled A100)")
+    parser.add_argument("--hw",
+                        help="hardware spec JSON (default: bundled A100)")
     args = parser.parse_args()
 
     hw = load_hardware_spec(args.hw) if args.hw else default_hardware_spec()

@@ -435,9 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roofline", help="place a profile on the rooflines")
     p.add_argument("--profile", required=True)
-    p.add_argument("--hw", help="hardware spec, JSON if named *.json, else "
-                                f"YAML (default ${HW_ENV_VAR} or the bundled "
-                                "A100)")
+    p.add_argument("--hw", help=f"hardware spec JSON (default ${HW_ENV_VAR} "
+                                "or the bundled A100)")
     p.add_argument("--level", choices=("dram", "l2"), default="dram",
                    help="memory level for --plot output")
     p.add_argument("--plot", help="write chart CSV here")

@@ -2,7 +2,7 @@
 
 All bandwidths are bytes/second (or integer-ops/second for compute) and all
 capacities are bytes internally. Config files carry human units (GB/s,
-Gops/s, MB, GB; decimal, 1 GB = 1e9 B) and are converted once at load time
+Gops/s, GB; decimal, 1 GB = 1e9 B) and are converted once at load time
 so the model equations never touch unit conversions.
 """
 
@@ -21,13 +21,11 @@ from .errors import (
     check_keys,
     coerce,
     parse_json,
-    reason,
     utf8_text,
 )
 
 GB = 1e9
 GOPS = 1e9
-MB = 1e6
 
 DEFAULT_HW_NAME = "a100_40gb"
 
@@ -123,9 +121,7 @@ class HardwareSpec:
     peak_compute_bw: float      # integer ops / second
     peak_dram_bw: float         # bytes / second
     peak_l2_bw: float           # bytes / second
-    l2_capacity_bytes: float
     dram_capacity_bytes: float
-    host_link_bw: float         # bytes / second, CPU<->GPU link
     l2_request_bytes: int = 128
     mig_catalog: tuple[PartitionConfig, ...] = ()
 
@@ -135,14 +131,12 @@ class HardwareSpec:
             "peak_compute_bw": self.peak_compute_bw,
             "peak_dram_bw": self.peak_dram_bw,
             "peak_l2_bw": self.peak_l2_bw,
-            "l2_capacity_bytes": self.l2_capacity_bytes,
             "dram_capacity_bytes": self.dram_capacity_bytes,
-            "host_link_bw": self.host_link_bw,
             "l2_request_bytes": self.l2_request_bytes,
         }
         for field, value in positive.items():
             # compared, not passed to math.isfinite, which raises
-            # OverflowError on a YAML integer too large for a float
+            # OverflowError on an integer too large for a float
             if not 0 < value < math.inf:
                 raise ValidationError(
                     f"{field} must be finite and > 0, got {value}")
@@ -165,8 +159,8 @@ def full_allocation() -> ResourceAllocation:
 # Hardware spec config file
 # ---------------------------------------------------------------------------
 #
-# Schema, the same in JSON and YAML (all keys required unless noted, unknown
-# keys rejected):
+# Schema of the JSON document (all keys required unless noted, unknown keys
+# rejected):
 #
 #   schema_version: 1
 #   name: <text>
@@ -174,9 +168,7 @@ def full_allocation() -> ResourceAllocation:
 #   peak_compute_gops: <Gops/s>
 #   peak_dram_gbps: <GB/s>
 #   peak_l2_gbps: <GB/s>
-#   l2_capacity_mb: <MB>
 #   dram_capacity_gb: <GB>
-#   host_link_gbps: <GB/s>
 #   l2_request_bytes: <int, optional, default 128>
 #   mig_catalog:                    # optional
 #     - name: <text>
@@ -191,19 +183,16 @@ HW_SCHEMA_VERSION = 1
 
 _HW_REQUIRED = {
     "schema_version", "name", "sm_count", "peak_compute_gops",
-    "peak_dram_gbps", "peak_l2_gbps", "l2_capacity_mb",
-    "dram_capacity_gb", "host_link_gbps",
+    "peak_dram_gbps", "peak_l2_gbps", "dram_capacity_gb",
 }
-_HW_OPTIONAL = {"l2_request_bytes", "mig_catalog"}
+# l2_capacity_mb and host_link_gbps are read by no model: accepted and
+# ignored, so that older specs still load.
+_HW_OPTIONAL = {"l2_request_bytes", "mig_catalog", "l2_capacity_mb",
+                "host_link_gbps"}
 
 # An instance's fraction keys, in ResourceAllocation's field order.
 _INSTANCE_FRACTIONS = ("compute", "dram_bw", "l2_bw", "mem_capacity")
 _INSTANCE_KEYS = {"name", *_INSTANCE_FRACTIONS}
-
-# The deepest nesting a hardware spec may have; the bundled one is 5 deep.
-# yaml's C composer recurses once per level and would overflow the C stack
-# (a crash no handler sees) long before Python's recursion limit.
-_MAX_YAML_DEPTH = 64
 
 
 def _parse_catalog(raw: object) -> tuple[PartitionConfig, ...]:
@@ -261,9 +250,7 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
         peak_compute_bw=number("peak_compute_gops", GOPS),
         peak_dram_bw=number("peak_dram_gbps", GB),
         peak_l2_bw=number("peak_l2_gbps", GB),
-        l2_capacity_bytes=number("l2_capacity_mb", MB),
         dram_capacity_bytes=number("dram_capacity_gb", GB),
-        host_link_bw=number("host_link_gbps", GB),
         l2_request_bytes=coerce(doc.get("l2_request_bytes", 128), int,
                                 "l2_request_bytes"),
         mig_catalog=_parse_catalog(doc.get("mig_catalog", [])),
@@ -278,28 +265,10 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
 def load_hardware_spec(path: str | Path,
                        read: Callable[[Path], bytes] = Path.read_bytes
                        ) -> HardwareSpec:
-    """Load a hardware spec (and its partition catalog) from a file, read
-    once with `read`: JSON if its name ends in .json, YAML otherwise."""
-    text = utf8_text(read(Path(path)), path)
-    if Path(path).suffix == ".json":
-        return hardware_spec_from_dict(
-            parse_json(text, path, "hardware spec JSON"))
-    import yaml     # here, so that only a YAML spec pays for the import
-
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        depth = 0
-        for event in yaml.parse(text, Loader=loader):
-            depth += isinstance(event, yaml.CollectionStartEvent)
-            depth -= isinstance(event, yaml.CollectionEndEvent)
-            if depth > _MAX_YAML_DEPTH:
-                raise yaml.YAMLError(
-                    f"nested deeper than {_MAX_YAML_DEPTH} levels")
-        doc = yaml.load(text, Loader=loader)
-    # ValueError: an integer past the interpreter's int-to-text limit.
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ConfigError(f"{path}: invalid YAML: {reason(exc)}") from exc
-    return hardware_spec_from_dict(doc)
+    """Load a hardware spec (and its partition catalog) from a JSON file,
+    whatever its name, read once with `read`."""
+    return hardware_spec_from_dict(parse_json(
+        utf8_text(read(Path(path)), path), path, "hardware spec JSON"))
 
 
 def default_hardware_spec() -> HardwareSpec:

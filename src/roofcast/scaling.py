@@ -15,6 +15,7 @@ practice rarely both exceed one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .core import HardwareSpec, ResourceAllocation
@@ -80,7 +81,11 @@ def linear_baseline(t: float, ratio: float) -> float:
     """Naive all-resources-linear reference model: t over the compute ratio."""
     if not ratio > 0:
         raise ValidationError(f"ratio must be > 0, got {ratio}")
-    return t / ratio
+    predicted = t / ratio
+    if not predicted < math.inf:
+        raise ValidationError(
+            f"linear baseline time overflows at compute ratio {ratio}")
+    return predicted
 
 
 def _direction(fractions: list[float]) -> Direction:
@@ -104,10 +109,12 @@ def slowdown_unified(m: AggregateMetrics, t: float, hw: HardwareSpec,
         raise ValidationError(f"baseline time must be > 0, got {t}")
     bound = classify(m, hw)
     if bound is BoundKind.COMPUTE_BOUND:
+        read = ("compute_fraction",)
         predicted = t / alloc.compute_fraction
         direction = _direction([alloc.compute_fraction])
         confidence = Confidence.NORMAL
     else:
+        read = ("dram_bw_fraction", "l2_bw_fraction")
         predicted = max(
             predict_time_mem(
                 m, t, MemLevel.DRAM,
@@ -121,10 +128,17 @@ def slowdown_unified(m: AggregateMetrics, t: float, hw: HardwareSpec,
             confidence = Confidence.LOW_UPSIZE_MEMORY
         else:
             confidence = Confidence.NORMAL
+    slowdown = predicted / t
+    # Not a floor on fractions: any fraction > 0 is valid until the time it
+    # implies (or that time over t) no longer fits a float.
+    if not slowdown < math.inf:
+        raise ValidationError(
+            "predicted slowdown overflows at "
+            + " and ".join(f"{f} {getattr(alloc, f)}" for f in read))
     return Prediction(
         baseline_time=t,
         predicted_time=predicted,
-        slowdown=predicted / t,
+        slowdown=slowdown,
         bound=bound,
         direction=direction,
         confidence=confidence,

@@ -38,7 +38,7 @@ def test_enumerate_configs_catalog_verbatim():
 
 
 def test_enumerate_configs_empty_catalog_errors():
-    bare = HardwareSpec("bare", 108, 18247e9, 1555e9, 7050e9, 40e6, 40e9, 32e9)
+    bare = HardwareSpec("bare", 108, 18247e9, 1555e9, 7050e9, 40e9)
     with pytest.raises(ConfigError):
         enumerate_configs(bare)
 

@@ -6,7 +6,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-import yaml
 
 from roofcast.cli import main
 from roofcast.core import default_hardware_spec
@@ -20,7 +19,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_kernels.csv"
 HW_DOC = {
     "schema_version": 1, "name": "custom", "sm_count": 10,
     "peak_compute_gops": 100.0, "peak_dram_gbps": 10.0, "peak_l2_gbps": 50.0,
-    "l2_capacity_mb": 1.0, "dram_capacity_gb": 1.0, "host_link_gbps": 4.0,
+    "dram_capacity_gb": 1.0,
 }
 # An integer literal longer than the 4,300 digits Python turns into an int.
 LONG_INT = 10**5000
@@ -245,6 +244,50 @@ def test_predict_infinite_allocation_exits_2(tmp_path, capsys, alloc, extra,
     assert captured.out == ""
 
 
+# A fraction > 0 so small that the time it implies overflows a float: the
+# command line, with {compute} a compute-bound profile (the golden export),
+# {memory} a memory-bound one and {tiny} a spec with a 5e-324 compute slice.
+TOO_SMALL = {
+    "predict-compute": (
+        ["predict", "--profile", "{compute}", "--alloc", "1e-310,1,1,1"],
+        "predicted slowdown overflows at compute_fraction 1e-310"),
+    "eval-grid": (["eval", "--n-queries", "2", "--grid", "1e-320"],
+                  "predicted slowdown overflows at "),
+    "predict-memory": (
+        ["predict", "--profile", "{memory}", "--alloc", "1,1e-320,1e-320,1"],
+        "predicted slowdown overflows at dram_bw_fraction 1e-320 and "
+        "l2_bw_fraction 1e-320"),
+    "predict-linear": (
+        ["predict", "--profile", "{memory}", "--alloc", "1e-320,0.5,0.5,0.5"],
+        "linear baseline time overflows at compute ratio 1e-320"),
+    "advise-catalog": (
+        ["advise", "--workload", "{workload}", "--hw", "{tiny}",
+         "--objective", "max-throughput"],
+        "predicted slowdown overflows at compute_fraction 5e-324"),
+}
+
+
+@pytest.mark.parametrize("argv, named", TOO_SMALL.values(),
+                         ids=TOO_SMALL.keys())
+def test_a_fraction_too_small_for_a_float_exits_2_naming_it(tmp_path, capsys,
+                                                             argv, named):
+    compute = tmp_path / "golden.json"
+    assert main(["ingest", "--input", str(GOLDEN), "--out", str(compute)]) == 0
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({**HW_DOC, "mig_catalog": [
+        {"name": "tiny", "instances": [
+            {"name": "t", "compute": 5e-324, "dram_bw": 1.0, "l2_bw": 1.0,
+             "mem_capacity": 1.0}]}]}))
+    paths = {"compute": compute, "memory": write_profile(tmp_path),
+             "workload": write_workload(tmp_path, compute), "tiny": tiny}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_roofline_report_and_plot(tmp_path, capsys):
     profile = write_profile(tmp_path)
     plot = tmp_path / "plot.csv"
@@ -425,15 +468,15 @@ def test_eval_samples_mode(tmp_path, capsys):
 
 
 def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):
-    hw_yaml = tmp_path / "custom.yaml"
-    hw_yaml.write_text(yaml.safe_dump(HW_DOC))
+    hw_json = tmp_path / "custom.json"
+    hw_json.write_text(json.dumps(HW_DOC))
     profile = write_profile(tmp_path)
-    monkeypatch.setenv("ROOFCAST_HW", str(hw_yaml))
+    monkeypatch.setenv("ROOFCAST_HW", str(hw_json))
     code, out = run(capsys, "roofline", "--profile", str(profile))
     assert code == 0
     report = json.loads(out)
     assert report["levels"]["dram"]["mem_bw"] == 10e9
-    assert report["manifest"]["hardware_spec"] == str(hw_yaml)
+    assert report["manifest"]["hardware_spec"] == str(hw_json)
 
 
 @pytest.mark.parametrize("command", ["concurrency", "advise"])
@@ -500,14 +543,15 @@ def shared_catalog(**fields) -> list:
         instances=[{"name": "x", "compute": "half", "dram_bw": 1.0,
                     "l2_bw": 1.0, "mem_capacity": 1.0}])},
      "mig_catalog[0].instances[0].compute must be a number"),
-    ("predict", {1: "one", None: "none"}, "unknown keys [1, None]"),
+    ("predict", {1: "one", None: "none"}, "unknown keys ['1', 'null']"),
     ("predict", {"sm_count": True}, "sm_count must be an integer, got True"),
     ("predict", {"peak_dram_gbps": True}, "peak_dram_gbps must be a number"),
     ("predict", {"schema_version": True}, "unsupported schema_version True"),
     ("roofline", {"peak_l2_gbps": 5},
      "peak_l2_gbps must exceed peak_dram_gbps (cache sits above DRAM); "
      "got 5 vs 10.0"),
-    ("predict", {"sm_count": LONG_INT}, "hw.yaml: invalid YAML: Exceeds the"),
+    ("predict", {"sm_count": LONG_INT},
+     "hw.json: invalid hardware spec JSON: Exceeds the limit"),
     ("advise", {"mig_catalog": [{"instances": []}]},
      "mig_catalog[0]: missing keys ['name']"),
     ("advise", {"mig_catalog": shared_catalog(
@@ -523,9 +567,8 @@ def shared_catalog(**fields) -> list:
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
                                                           named):
-    hw_yaml = tmp_path / "hw.yaml"
-    hw_yaml.write_text(unlimited(yaml.safe_dump, {**HW_DOC, **fields},
-                                 sort_keys=False))
+    hw_json = tmp_path / "hw.json"
+    hw_json.write_text(unlimited(json.dumps, {**HW_DOC, **fields}))
     profile = write_profile(tmp_path)
     argv = {
         "roofline": ["roofline", "--profile", str(profile)],
@@ -535,7 +578,7 @@ def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                    str(write_workload(tmp_path, profile)),
                    "--objective", "max-throughput"],
     }[command]
-    code = main([*argv, "--hw", str(hw_yaml)])
+    code = main([*argv, "--hw", str(hw_json)])
     captured = capsys.readouterr()
     assert code == 2
     assert named in captured.err
@@ -553,7 +596,7 @@ NOT_UTF8 = {
     "workload-profile": (["concurrency", "--workload", "{workload}"],
                          "profile.json"),
     "hardware-spec": (["roofline", "--profile", "{profile}", "--hw", "{bad}"],
-                      "bad.yaml"),
+                      "bad.json"),
     "samples": (["eval", "--samples", "{bad}"], "bad.csv"),
 }
 
@@ -596,8 +639,12 @@ UNPARSABLE = {
                     "label,estimated,actual\na,1\r,2\n",
                     "row 2: new-line character seen in unquoted field"),
     "hardware-spec": (["roofline", "--profile", "{profile}", "--hw", "{bad}"],
-                      "bad.yaml", "name: " + "[" * 100 + "]" * 100 + "\n",
-                      "invalid YAML: nested deeper than 64 levels"),
+                      "bad.json", DEEP_JSON,
+                      "invalid hardware spec JSON: maximum recursion depth"),
+    "hardware-spec-yaml": (
+        ["roofline", "--profile", "{profile}", "--hw", "{bad}"], "hw.yaml",
+        "schema_version: 1\nname: custom\n",
+        "invalid hardware spec JSON: Expecting value: line 1 column 1"),
 }
 
 

@@ -17,7 +17,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from roofcast.cli import main
@@ -40,8 +39,7 @@ WORKLOAD = {"schema_version": 1, "doc": 2, "dispatch_count": 50, "seed": 3,
 HARDWARE = {
     "schema_version": 1, "name": "custom", "sm_count": 10,
     "peak_compute_gops": 100.0, "peak_dram_gbps": 10.0, "peak_l2_gbps": 50.0,
-    "l2_capacity_mb": 1.0, "dram_capacity_gb": 1.0, "host_link_gbps": 4.0,
-    "l2_request_bytes": 128,
+    "dram_capacity_gb": 1.0, "l2_request_bytes": 128,
     "mig_catalog": [{"name": "halves", "shared_memory": False, "instances": [
         {"name": "half", "compute": 0.5, "dram_bw": 0.5, "l2_bw": 0.5,
          "mem_capacity": 0.5}] * 2}],
@@ -53,8 +51,8 @@ COMMANDS = {
     "profile.json": ["predict", "--profile", "{work}/profile.json",
                      "--mig", "1g.5gb"],
     "workload.json": ["concurrency", "--workload", "{work}/workload.json"],
-    "hw.yaml": ["advise", "--workload", "{work}/workload.json",
-                "--hw", "{work}/hw.yaml", "--objective", "max-throughput"],
+    "hw.json": ["advise", "--workload", "{work}/workload.json",
+                "--hw", "{work}/hw.json", "--objective", "max-throughput"],
 }
 KERNEL = PROFILE["kernels"][0]
 INSTANCE = HARDWARE["mig_catalog"][0]["instances"][0]
@@ -65,10 +63,10 @@ FIELDS = (
     + [("workload.json", (key,)) for key in WORKLOAD if key != "queries"]
     + [("workload.json", ("queries", 0, key))
        for key in WORKLOAD["queries"][0]]
-    + [("hw.yaml", (key,)) for key in HARDWARE if key != "mig_catalog"]
-    + [("hw.yaml", ("mig_catalog", 0, key))
+    + [("hw.json", (key,)) for key in HARDWARE if key != "mig_catalog"]
+    + [("hw.json", ("mig_catalog", 0, key))
        for key in ("name", "instances", "shared_memory")]
-    + [("hw.yaml", ("mig_catalog", 0, "instances", 1, key))
+    + [("hw.json", ("mig_catalog", 0, "instances", 1, key))
        for key in INSTANCE]
 )
 
@@ -87,36 +85,52 @@ def _with_field(doc, path, value):
     return doc
 
 
+DOCS = {"counters.json": COUNTERS, "profile.json": PROFILE,
+        "workload.json": WORKLOAD, "hw.json": HARDWARE}
+
+
+def _run(command, docs):
+    """Exit code, stdout and stderr of COMMANDS[command] over docs, written
+    to a fresh directory, and the report it wrote there, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, doc in docs.items():
+            (work / name).write_text(unlimited(json.dumps, doc))
+        out = work / "out.json"
+        argv = [arg.format(work=work) for arg in COMMANDS[command]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        report = out.read_text() if out.exists() else None
+    return code, stdout.getvalue(), stderr.getvalue(), report
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_undamaged_inputs_exit_0(command):
+    # Else a hostile field below could pass by failing before any check.
+    code, _, stderr, _ = _run(command, DOCS)
+    assert code == 0, stderr
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(field=st.sampled_from(FIELDS), value=st.sampled_from(HOSTILE))
 def test_hostile_field_exits_0_1_or_2_and_writes_strict_json(field, value):
     hostile_file, path = field
-    docs = {"counters.json": COUNTERS, "profile.json": PROFILE,
-            "workload.json": WORKLOAD, "hw.yaml": HARDWARE}
-    docs[hostile_file] = _with_field(docs[hostile_file], path, value)
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for name, doc in docs.items():
-            dumps = yaml.safe_dump if name == "hw.yaml" else json.dumps
-            (work / name).write_text(unlimited(dumps, doc))
-        out = work / "out.json"
-        argv = [arg.format(work=work) for arg in COMMANDS[hostile_file]]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", str(out)])
-        assert code in (0, 1, 2), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
-        if out.exists():
-            json.loads(out.read_text(), parse_constant=_reject_constant)
-        assert stdout.getvalue() == ""
+    docs = {**DOCS, hostile_file: _with_field(DOCS[hostile_file], path, value)}
+    code, stdout, stderr, report = _run(hostile_file, docs)
+    assert code in (0, 1, 2), stderr
+    assert "Traceback" not in stderr
+    if report is not None:
+        json.loads(report, parse_constant=_reject_constant)
+    assert stdout == ""
 
 
 # Hostile text for each numeric flag, run through a command that reads it.
 # --alloc takes four fractions, so the hostile one comes first of four.
 ARGV_VALUES = ["x", "", "nan", "inf", "-1", "0", "1e400",
-               "99999999999999999999"]
+               "99999999999999999999", "1e-320"]
 INGEST = ["ingest", "--input", "{work}/counters.json"]
 CONCURRENCY = ["concurrency", "--workload", "{work}/workload.json"]
 FLAGS = [

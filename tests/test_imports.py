@@ -4,7 +4,10 @@ benchmark binds to."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 import roofcast
 
@@ -27,6 +30,28 @@ def test_no_module_imports_private_names_of_another():
             offenders.extend(f"{path.name}: {alias.name}"
                              for alias in node.names if _private(alias.name))
     assert offenders == []
+
+
+def test_roofcast_imports_only_the_standard_library():
+    # Imports inside functions count too: a lazy import is still a
+    # dependency of whoever reaches it.
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.extend(
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in {*sys.stdlib_module_names,
+                                              "roofcast"})
+    assert outside == []
+    tomllib = pytest.importorskip("tomllib")
+    with (SRC.parent.parent / "pyproject.toml").open("rb") as source:
+        assert tomllib.load(source)["project"]["dependencies"] == []
 
 
 def test_functions_the_benchmark_traces_exist():
