@@ -89,21 +89,21 @@ class RunManifest:
         del options["func"]
         return cls(options)
 
-    def read(self, path: str | Path) -> bytes:
-        """An input file's bytes, digested as they are read: the digest is
-        always of the bytes the run parsed."""
-        data = Path(path).read_bytes()
-        self.input_digests[str(path)] = hashlib.sha256(data).hexdigest()
-        return data
-
-    def digest(self, stream: IO[bytes]) -> None:
-        """Digest an input file opened for reading, 64 KiB at a time, and
-        rewind it to be parsed: a CSV input is streamed, never held whole."""
-        digest = hashlib.sha256()
-        while block := stream.read(1 << 16):
-            digest.update(block)
-        self.input_digests[stream.name] = digest.hexdigest()
-        stream.seek(0)
+    def open(self, path: str | Path) -> IO[bytes]:
+        """An input file opened to be read as bytes, digested 64 KiB at a
+        time and rewound to be parsed: every command opens its inputs so,
+        and streams them, never holding one whole."""
+        stream = open(path, "rb")
+        try:
+            digest = hashlib.sha256()
+            while block := stream.read(1 << 16):
+                digest.update(block)
+            stream.seek(0)
+        except BaseException:
+            stream.close()
+            raise
+        self.input_digests[str(path)] = digest.hexdigest()
+        return stream
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +123,7 @@ def _resolve_hw(args, manifest: RunManifest) -> HardwareSpec:
     path = getattr(args, "hw", None) or os.environ.get(HW_ENV_VAR)
     if path:
         manifest.hardware_spec = str(path)
-        return load_hardware_spec(path, read=manifest.read)
+        return load_hardware_spec(path, manifest.open)
     return default_hardware_spec()
 
 
@@ -215,7 +215,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_roofline(args) -> int:
     manifest = RunManifest.of(args)
-    profile = load_profile(args.profile, manifest.read)
+    profile = load_profile(args.profile, manifest.open)
     hw = _resolve_hw(args, manifest)
     metrics = aggregate(profile, hw)
     roofs = {level: (build_ceilings(hw, full_allocation(), level),
@@ -245,7 +245,7 @@ def cmd_roofline(args) -> int:
 
 def cmd_predict(args) -> int:
     manifest = RunManifest.of(args)
-    profile = load_profile(args.profile, manifest.read)
+    profile = load_profile(args.profile, manifest.open)
     hw = _resolve_hw(args, manifest)
     if args.alloc:
         alloc = _parse_alloc(args.alloc)
@@ -293,7 +293,7 @@ def cmd_predict(args) -> int:
 def cmd_concurrency(args) -> int:
     manifest = RunManifest.of(args)
     hw = _resolve_hw(args, manifest)
-    workload = load_workload(args.workload, read=manifest.read)
+    workload = load_workload(args.workload, manifest.open)
     overrides = {name: value for name in ("doc", "seed")
                  if (value := getattr(args, name)) is not None}
     if overrides:
@@ -333,7 +333,7 @@ def cmd_concurrency(args) -> int:
 def cmd_advise(args) -> int:
     manifest = RunManifest.of(args)
     hw = _resolve_hw(args, manifest)
-    workload = load_workload(args.workload, read=manifest.read)
+    workload = load_workload(args.workload, manifest.open)
     objective = Objective(args.objective)
     report = advise(workload, hw, objective)
     if args.table:
@@ -353,8 +353,7 @@ def cmd_advise(args) -> int:
 def cmd_eval(args) -> int:
     manifest = RunManifest.of(args)
     if args.samples:
-        with open(args.samples, "rb") as stream:
-            manifest.digest(stream)
+        with manifest.open(args.samples) as stream:
             samples = read_samples_csv(stream)
         cdf = error_cdf(samples)
         payload = {"n_samples": len(samples), "cdf": cdf.to_dict()}

@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
     check_keys,
     coerce,
+    open_input,
     parse_json,
     utf8_text,
 )
@@ -272,11 +273,11 @@ _WORKLOAD_OPTIONAL = {"dispatch_count", "seed"}
 
 
 def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
-                       read: Callable[[Path], bytes] = Path.read_bytes
+                       opener: Callable[[Path], IO[bytes]] = open_input
                        ) -> WorkloadSpec:
     """Build a WorkloadSpec; query profiles may be inline or file paths.
 
-    Profile files are read with `read`, relative paths from base_dir.
+    Profile files are opened with opener, relative paths from base_dir.
     """
     check_keys(doc, "workload document", _WORKLOAD_REQUIRED,
                _WORKLOAD_OPTIONAL, WORKLOAD_SCHEMA_VERSION)
@@ -290,7 +291,7 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
             path = Path(raw_profile)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            profile = load_profile(path, read)
+            profile = load_profile(path, opener)
         elif isinstance(raw_profile, Mapping):
             profile = profile_from_dict(raw_profile)
         else:
@@ -309,10 +310,12 @@ def workload_from_dict(doc: Mapping, base_dir: Path | None = None,
 
 
 def load_workload(path: str | Path,
-                  read: Callable[[Path], bytes] = Path.read_bytes
+                  opener: Callable[[Path], IO[bytes]] = open_input
                   ) -> WorkloadSpec:
     """Load a workload document and the profile files it names, each file
-    read once with `read`."""
+    opened with opener."""
     path = Path(path)
-    doc = parse_json(utf8_text(read(path), path), path, "workload JSON")
-    return workload_from_dict(doc, base_dir=path.parent, read=read)
+    with opener(path) as stream:
+        data = stream.read()
+    doc = parse_json(utf8_text(data, path), path, "workload JSON")
+    return workload_from_dict(doc, base_dir=path.parent, opener=opener)

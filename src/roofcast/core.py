@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import IO, Callable, Mapping
 
 from .errors import (
     ConfigError,
@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
     check_keys,
     coerce,
+    open_input,
     parse_json,
     utf8_text,
 )
@@ -263,12 +264,14 @@ def hardware_spec_from_dict(doc: Mapping) -> HardwareSpec:
 
 
 def load_hardware_spec(path: str | Path,
-                       read: Callable[[Path], bytes] = Path.read_bytes
+                       opener: Callable[[Path], IO[bytes]] = open_input
                        ) -> HardwareSpec:
     """Load a hardware spec (and its partition catalog) from a JSON file,
-    whatever its name, read once with `read`."""
+    whatever its name, opened with opener."""
+    with opener(Path(path)) as stream:
+        data = stream.read()
     return hardware_spec_from_dict(parse_json(
-        utf8_text(read(Path(path)), path), path, "hardware spec JSON"))
+        utf8_text(data, path), path, "hardware spec JSON"))
 
 
 def default_hardware_spec() -> HardwareSpec:

@@ -10,6 +10,7 @@ import codecs
 import csv
 import json
 from collections.abc import Iterator, Mapping, Set
+from os import PathLike
 from typing import IO
 
 
@@ -69,6 +70,12 @@ def utf8_text(data: bytes, source: object) -> str:
         raise ValidationError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+
+
+def open_input(path: str | PathLike) -> IO[bytes]:
+    """The input file at path, opened to be read as bytes: how a loader
+    opens a file when no run manifest digests it."""
+    return open(path, "rb")
 
 
 def reason(exc: Exception) -> str:
@@ -156,6 +163,183 @@ def csv_chunks(stream: IO[bytes], source: object, what: str
     if row_no == 1:
         raise SchemaError(f"empty {what}: header row required")
     yield row_no, rows
+
+
+# Bytes a JsonChunks reader takes from its stream at a time, unless the text
+# it holds is longer: then it reads that much, so one long value costs
+# linear time.
+JSON_BLOCK = 1 << 16
+
+_skip_space = json.decoder.WHITESPACE.match
+# The decoder json.loads uses, one value at a time: (value, end) or
+# StopIteration when no value starts at the index.
+_scan_value = json.JSONDecoder().scan_once
+
+
+class JsonChunks:
+    """The array of a JSON document in a binary stream, at the top level or
+    under one top-level key, handed out by iteration in lists of
+    CSV_CHUNK_ROWS elements (the last one shorter); after it, members holds
+    the document's other top-level members.
+
+    The stream is read JSON_BLOCK bytes at a time through an incremental
+    UTF-8 decoder, and one leading byte order mark is dropped, as utf8_text
+    drops it. A document that ends in its first block is decoded whole.
+    Otherwise all complete elements in the text held are decoded at once,
+    up to its last "}": if that decode succeeds, the text was exactly those
+    elements. If it fails (a "}" inside a string, say), the elements of that
+    text are decoded one at a time. A value is taken only once a "," ":"
+    "]" or "}" follows it, or the stream ends, because "4." is a prefix of
+    "4.0". Of an array of objects, neither the whole text nor the whole
+    document is ever held.
+
+    A document it cannot hand out so raises a ParseError that says only
+    that: one that is not UTF-8 text or not JSON, holds no such array, or
+    gives the key twice (json.loads keeps the last). The caller then rewinds
+    the stream and reads it whole, which names the fault.
+    """
+
+    def __init__(self, stream: IO[bytes], source: object,
+                 key: str | None = None):
+        self.stream, self.source, self.key = stream, source, key
+        self.members: dict = {}
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
+        self._text, self._pos, self._fills, self._eof = "", 0, 0, False
+
+    def __iter__(self) -> Iterator[list]:
+        try:
+            yield from self._chunks()
+        # ValueError: also JSONDecodeError and UnicodeDecodeError.
+        except (ValueError, RecursionError):
+            raise ParseError(
+                f"{self.source}: not a JSON document to read in chunks"
+            ) from None
+
+    def _chunks(self) -> Iterator[list]:
+        while self._fill() and not self._text:  # a block ends in the BOM
+            pass
+        self._text = self._text.removeprefix("\ufeff")
+        if self._eof:
+            doc = json.loads(self._text)
+            if self.key is not None:
+                if not isinstance(doc, dict):
+                    raise ValueError("not an object")
+                doc, self.members = doc.pop(self.key, None), doc
+            if not isinstance(doc, list):
+                raise ValueError("no array")
+            for start in range(0, len(doc), CSV_CHUNK_ROWS):
+                yield doc[start:start + CSV_CHUNK_ROWS]
+            return
+        if self.key is None:
+            self._expect("[")
+            yield from self._array()
+        else:
+            yield from self._object()
+        if self._peek():
+            raise ValueError("extra data")
+
+    def _object(self) -> Iterator[list]:
+        self._expect("{")
+        found = False
+        while True:
+            if self._peek() != '"':
+                raise ValueError("expecting a key")
+            name = self._value()
+            self._expect(":")
+            if name != self.key:
+                self.members[name] = self._value()
+            elif found:
+                raise ValueError("the key twice")
+            else:
+                self._expect("[")
+                found = True
+                yield from self._array()
+            if self._peek() != ",":
+                break
+            self._pos += 1
+        self._expect("}")
+        if not found:
+            raise ValueError("no array")
+
+    def _array(self) -> Iterator[list]:
+        """The elements of the array whose "[" was read, in chunks."""
+        chunk = []
+        if self._peek() == "]":
+            self._pos += 1
+            return
+        failed = -1     # the fill whose text failed to decode at once
+        while True:
+            cut = self._text.rfind("}", self._pos) + 1
+            if cut <= self._pos and self._fill():   # no object is whole yet
+                continue
+            elements = None
+            if cut > self._pos and self._fills != failed:
+                try:
+                    elements = json.loads(f"[{self._text[self._pos:cut]}]")
+                except (ValueError, RecursionError):
+                    pass
+            if elements is None:
+                failed = self._fills
+                chunk.append(self._value())
+            else:
+                chunk += elements
+                self._pos = cut
+            while len(chunk) >= CSV_CHUNK_ROWS:
+                yield chunk[:CSV_CHUNK_ROWS]
+                del chunk[:CSV_CHUNK_ROWS]
+            if self._peek() != ",":
+                break
+            self._pos += 1
+        self._expect("]")
+        if chunk:
+            yield chunk
+
+    def _fill(self) -> bool:
+        """Drop the text read and decode more: at least JSON_BLOCK bytes and
+        at least as many as the text held. False at the end of the stream."""
+        if self._eof:
+            return False
+        want = max(JSON_BLOCK, len(self._text) - self._pos)
+        blocks = []
+        while want > 0 and (block := self.stream.read(want)):
+            blocks.append(block)
+            want -= len(block)
+        self._eof = want > 0
+        self._text = self._text[self._pos:] + self._decoder.decode(
+            b"".join(blocks), self._eof)
+        self._pos = 0
+        self._fills += 1
+        return True
+
+    def _peek(self) -> str:
+        """The next character that is not whitespace; "" at the end."""
+        while True:
+            self._pos = _skip_space(self._text, self._pos).end()
+            if self._pos < len(self._text):
+                return self._text[self._pos]
+            if not self._fill():
+                return ""
+
+    def _expect(self, char: str) -> None:
+        if self._peek() != char:
+            raise ValueError(f"expecting {char!r}")
+        self._pos += 1
+
+    def _value(self) -> object:
+        """The next value, read on until it is whole."""
+        self._peek()
+        while True:
+            try:
+                value, end = _scan_value(self._text, self._pos)
+                after = _skip_space(self._text, end).end()
+                if self._eof or (after < len(self._text)
+                                 and self._text[after] in ",:]}"):
+                    self._pos = end
+                    return value
+            except (StopIteration, ValueError, RecursionError):
+                pass
+            if not self._fill():
+                raise ValueError("incomplete value")
 
 
 def check_keys(doc: object, context: str, required: Set[str],

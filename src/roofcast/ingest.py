@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -36,6 +37,7 @@ from .core import HardwareSpec
 from .errors import (
     CSV_CHUNK_ROWS,
     DegenerateProfileError,
+    JsonChunks,
     ParseError,
     SchemaError,
     ValidationError,
@@ -272,7 +274,7 @@ def _record_from_values(values: tuple, row: int) -> KernelRecord:
 
 
 # Kernel objects _column_records converts, and write_profile_json writes, at
-# a time: as many as the CSV rows csv_chunks hands out.
+# a time: as many as the CSV rows csv_chunks and JsonChunks hand out.
 _CHUNK_ROWS = CSV_CHUNK_ROWS
 
 
@@ -328,12 +330,21 @@ def _column_records(values: list[tuple]) -> list[KernelRecord] | None:
             and min(durations) > 0 and math.isfinite(max(durations) * NS_PER_S)
             and min(dram) >= 0 and min(l2) >= 0 and min(ops) >= 0):
         return None
-    return list(map(_checked_record, zip(names, durations, dram, l2, ops)))
+    # An export repeats a few kernel names many times: keep one copy of each.
+    return list(map(_checked_record,
+                    zip(map(sys.intern, names), durations, dram, l2, ops)))
 
 
-def _records_from_objects(objects: list, label: str,
+def _in_chunks(objects: list) -> Iterable[list]:
+    """objects, _CHUNK_ROWS at a time."""
+    return (objects[start:start + _CHUNK_ROWS]
+            for start in range(0, len(objects), _CHUNK_ROWS))
+
+
+def _records_from_objects(chunks: Iterable[list], label: str,
                           not_mapping: str) -> list[KernelRecord]:
-    """One record per kernel object, its columns resolved once per key layout.
+    """One record per kernel object in chunks (lists of at most _CHUNK_ROWS),
+    its columns resolved once per key layout.
 
     A chunk of dicts that share one key layout is read a column at a time.
     label ("row {}") names the 1-based position in a layout error and
@@ -350,8 +361,8 @@ def _records_from_objects(objects: list, label: str,
         return getter
 
     records = []
-    for start in range(0, len(objects), _CHUNK_ROWS):
-        chunk = objects[start:start + _CHUNK_ROWS]
+    start = 0
+    for chunk in chunks:
         kernels = None
         if set(map(type, chunk)) == {dict}:
             layout = tuple(chunk[0])
@@ -366,24 +377,32 @@ def _records_from_objects(objects: list, label: str,
                 values = getter_of(tuple(obj), i)(obj)
                 kernels.append(_record_from_values(values, i))
         records += kernels
+        start += len(chunk)
     return records
 
 
 def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRecord]:
     """Parse a profiler counter export into one record per kernel launch.
 
-    A CSV stream must be seekable: csv_chunks reads it twice.
+    The stream must be seekable: csv_chunks reads a CSV file twice, and a
+    JSON file is read again whole when JsonChunks cannot read it.
     """
     if format not in ("csv", "json"):
         raise ValidationError(f"unsupported counter format {format!r}")
     source = getattr(stream, "name", "counter file")
     if format == "json":
-        # Temporaries, so the bytes go once decoded and the text once parsed.
+        try:
+            return _records_from_objects(JsonChunks(stream, source), "row {}",
+                                         "row {}: expected an object")
+        except ValidationError:
+            stream.seek(0)
+        # Read whole, the document names its first fault.
         rows = parse_json(utf8_text(stream.read(), source), source,
                           "JSON counter file")
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
-        return _records_from_objects(rows, "row {}", "row {}: expected an object")
+        return _records_from_objects(_in_chunks(rows), "row {}",
+                                     "row {}: expected an object")
 
     chunks = csv_chunks(stream, source, "counter file")
     _, [header] = next(chunks)
@@ -553,14 +572,22 @@ def profile_to_dict(profile: QueryProfile) -> dict:
     }
 
 
+_PROFILE_KEYS = ("profile document", _PROFILE_REQUIRED, _PROFILE_OPTIONAL,
+                 PROFILE_SCHEMA_VERSION)
+_KERNEL_NOT_MAPPING = "profile document: kernels[{}] must be a mapping"
+
+
 def profile_from_dict(doc: Mapping) -> QueryProfile:
-    check_keys(doc, "profile document", _PROFILE_REQUIRED, _PROFILE_OPTIONAL,
-               PROFILE_SCHEMA_VERSION)
+    check_keys(doc, *_PROFILE_KEYS)
     if not isinstance(doc["kernels"], list):
         raise SchemaError("profile document: kernels must be a list")
-    kernels = _records_from_objects(
-        doc["kernels"], "kernels[{}]",
-        "profile document: kernels[{}] must be a mapping")
+    return _profile(doc, _records_from_objects(
+        _in_chunks(doc["kernels"]), "kernels[{}]", _KERNEL_NOT_MAPPING))
+
+
+def _profile(doc: Mapping, kernels: list[KernelRecord]) -> QueryProfile:
+    """The profile of kernels and of the other members of doc, a profile
+    document whose keys were checked."""
     # "plan" is a reserved key: checked, then ignored.
     plan = doc.get("plan") or []
     if not (isinstance(plan, list) and all(isinstance(op, Mapping) for op in plan)):
@@ -626,17 +653,32 @@ def write_profile_json(profile: QueryProfile,
     return out.getvalue() if sink is None else None
 
 
-def read_profile_json(text: str, source: object = "profile") -> QueryProfile:
-    """The profile in a JSON document; errors name source, its file."""
-    doc = parse_json(text, source, "profile JSON")
-    # A caller's temporary text is this frame's alone: free it before the
-    # records are built.
-    del text
-    return profile_from_dict(doc)
+def read_profile_json(stream: IO[bytes],
+                      source: object = "profile") -> QueryProfile:
+    """The profile in the JSON document in a seekable binary stream; errors
+    name source, its file.
+
+    The kernels are read and checked _CHUNK_ROWS at a time, then the other
+    members as profile_from_dict checks them. On any fault the stream is
+    read again whole, so the error is the one profile_from_dict raises for
+    the whole document.
+    """
+    chunks = JsonChunks(stream, source, "kernels")
+    try:
+        kernels = _records_from_objects(chunks, "kernels[{}]",
+                                        _KERNEL_NOT_MAPPING)
+        doc = {**chunks.members, "kernels": kernels}
+        check_keys(doc, *_PROFILE_KEYS)
+        return _profile(doc, kernels)
+    except ValidationError:
+        stream.seek(0)
+    return profile_from_dict(parse_json(
+        utf8_text(stream.read(), source), source, "profile JSON"))
 
 
 def load_profile(path: str | Path,
-                 read: Callable[[str | Path], bytes]) -> QueryProfile:
-    """The profile in a JSON file, read once with `read`; errors name path."""
-    return read_profile_json(utf8_text(read(path), path), path)
+                 opener: Callable[[str | Path], IO[bytes]]) -> QueryProfile:
+    """The profile in a JSON file opened with opener; errors name path."""
+    with opener(path) as stream:
+        return read_profile_json(stream, path)
 

@@ -287,9 +287,10 @@ def test_criterion_10_ingest_round_trip_and_l2_bytes(tmp_path):
         records = parse_counter_file(stream, "csv")
     assert len(records) == 3
 
-    profile = read_profile_json(write_profile_json(QueryProfile(
+    text = write_profile_json(QueryProfile(
         query_id="golden", system="test", scale_factor=1.0,
-        kernels=tuple(records))))
+        kernels=tuple(records)))
+    profile = read_profile_json(io.BytesIO(text.encode()))
     assert serialize_kernels_csv(profile.kernels) == original
 
     metrics = aggregate(profile, HW)

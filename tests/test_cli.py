@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -477,6 +479,36 @@ def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert report["levels"]["dram"]["mem_bw"] == 10e9
     assert report["manifest"]["hardware_spec"] == str(hw_json)
+
+
+def test_every_input_file_is_closed(tmp_path, capsys, monkeypatch):
+    # A file left open warns when it is collected; as an error, the warning
+    # goes to the unraisable hook, which is collected here.
+    profile = write_profile(tmp_path)
+    workload = write_workload(tmp_path, profile)
+    hw_json = tmp_path / "hw.json"
+    hw_json.write_text(json.dumps(HW_DOC))
+    samples = tmp_path / "samples.csv"
+    samples.write_text("label,estimated,actual\nq1,1.1,1.0\n")
+    broken = tmp_path / "broken.json"
+    broken.write_text(profile.read_text()[:-9])
+    commands = {
+        ("roofline", "--profile", str(profile), "--hw", str(hw_json)): 0,
+        ("predict", "--profile", str(profile), "--mig", "1g.5gb"): 0,
+        ("concurrency", "--workload", str(workload)): 0,
+        ("advise", "--workload", str(workload), "--objective", "min-latency"): 0,
+        ("eval", "--samples", str(samples)): 0,
+        ("roofline", "--profile", str(broken)): 2,
+    }
+    leaks = []
+    monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for argv, expected in commands.items():
+            assert main(list(argv)) == expected, argv
+            gc.collect()
+    capsys.readouterr()
+    assert [str(leak.exc_value) for leak in leaks] == []
 
 
 @pytest.mark.parametrize("command", ["concurrency", "advise"])

@@ -1,19 +1,33 @@
-"""Identities of the model that refactors lean on, stated through cli.main.
+"""Identities of the model that refactors lean on, stated through cli.main
+and the public API.
 
 Every answer depends on a profile only through its totals, so splitting a
 kernel into parts with the same totals, merging such parts back, or
 reordering kernels leaves every report unchanged. And advise ranks the
-catalog's configs, not their order in the spec file.
+catalog's configs, not their order in the spec file. A prediction depends
+on the ratios of the totals to the time and to the peaks, so scaling the
+time and every counter by one factor, or every peak and every counter by
+one factor, leaves each slowdown and bound unchanged.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from roofcast import (
+    KernelRecord,
+    QueryProfile,
+    ResourceAllocation,
+    aggregate,
+    default_hardware_spec,
+    slowdown_unified,
+)
 from roofcast.cli import main
 
 from test_fuzz_cli import HARDWARE
@@ -137,3 +151,55 @@ def test_permuting_the_catalog_leaves_advise_rows_unchanged(data):
         for order in (catalog, shuffled)]
     assert [code for code, _, _ in reports[0]] == [0] * len(commands)
     assert reports[1] == reports[0]
+
+
+A100 = default_hardware_spec()
+fraction = st.floats(0.05, 2.0)
+allocations = st.lists(st.builds(ResourceAllocation, fraction, fraction,
+                                 fraction, fraction), min_size=1, max_size=4)
+# Powers of two scale a float exactly; the others round.
+factors = st.one_of(st.sampled_from([2, 4, 64, 1024]),
+                    st.integers(3, 1000).filter(lambda k: k & (k - 1)))
+
+
+def _predictions(kernel_list, allocs, hw=A100, k=1, scale_time=True):
+    """(slowdown, bound) of each allocation for a profile of kernel_list
+    whose counters, and with scale_time its durations, are scaled by k."""
+    profile = QueryProfile("q", "s", 1.0, tuple(
+        KernelRecord(f"k{i}", kernel["duration_ns"] / 1e9
+                     * (k if scale_time else 1),
+                     *(kernel[key] * k
+                       for key in ("dram_bytes", "l2_requests", "int_ops")))
+        for i, kernel in enumerate(kernel_list)))
+    metrics = aggregate(profile, hw)
+    return [(p.slowdown, p.bound)
+            for p in (slowdown_unified(metrics, metrics.total_duration, hw, a)
+                      for a in allocs)]
+
+
+def _assert_same(scaled, base, exact):
+    assert [bound for _, bound in scaled] == [bound for _, bound in base]
+    for (slowdown, _), (expected, _) in zip(scaled, base):
+        if exact:
+            assert slowdown == expected
+        else:
+            assert math.isclose(slowdown, expected, rel_tol=1e-12, abs_tol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(base=kernels, allocs=allocations, k=factors)
+def test_scaling_time_and_every_counter_leaves_predictions_unchanged(
+        base, allocs, k):
+    _assert_same(_predictions(base, allocs, k=k), _predictions(base, allocs),
+                 exact=not k & (k - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(base=kernels, allocs=allocations, k=factors)
+def test_scaling_every_peak_and_every_counter_leaves_predictions_unchanged(
+        base, allocs, k):
+    faster = dataclasses.replace(
+        A100, peak_compute_bw=A100.peak_compute_bw * k,
+        peak_dram_bw=A100.peak_dram_bw * k, peak_l2_bw=A100.peak_l2_bw * k)
+    _assert_same(_predictions(base, allocs, faster, k, scale_time=False),
+                 _predictions(base, allocs), exact=False)
