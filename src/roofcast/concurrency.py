@@ -32,8 +32,7 @@ from .errors import (
     check_keys,
     coerce,
     open_input,
-    parse_json,
-    utf8_text,
+    read_json,
 )
 from .ingest import (
     AggregateMetrics,
@@ -316,6 +315,5 @@ def load_workload(path: str | Path,
     opened with opener."""
     path = Path(path)
     with opener(path) as stream:
-        data = stream.read()
-    doc = parse_json(utf8_text(data, path), path, "workload JSON")
+        doc = read_json(stream, path, "workload JSON")
     return workload_from_dict(doc, base_dir=path.parent, opener=opener)

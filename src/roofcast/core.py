@@ -21,8 +21,7 @@ from .errors import (
     check_keys,
     coerce,
     open_input,
-    parse_json,
-    utf8_text,
+    read_json,
 )
 
 GB = 1e9
@@ -269,9 +268,8 @@ def load_hardware_spec(path: str | Path,
     """Load a hardware spec (and its partition catalog) from a JSON file,
     whatever its name, opened with opener."""
     with opener(Path(path)) as stream:
-        data = stream.read()
-    return hardware_spec_from_dict(parse_json(
-        utf8_text(data, path), path, "hardware spec JSON"))
+        doc = read_json(stream, path, "hardware spec JSON")
+    return hardware_spec_from_dict(doc)
 
 
 def default_hardware_spec() -> HardwareSpec:

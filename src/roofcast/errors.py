@@ -100,6 +100,11 @@ def parse_json(text: str, source: object, what: str) -> object:
         raise ParseError(f"{source}: invalid {what}: {reason(exc)}") from None
 
 
+def read_json(stream: IO[bytes], source: object, what: str) -> object:
+    """parse_json of the UTF-8 text in a binary stream, read whole."""
+    return parse_json(utf8_text(stream.read(), source), source, what)
+
+
 # Rows csv_chunks hands out at a time: enough to spread a column reader's
 # fixed cost over many rows, few enough that a wide file's cells are never
 # all held.

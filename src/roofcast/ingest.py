@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+from array import array
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -45,8 +46,7 @@ from .errors import (
     coerce,
     csv_chunks,
     integral,
-    parse_json,
-    utf8_text,
+    read_json,
 )
 
 PROFILE_SCHEMA_VERSION = 1
@@ -123,8 +123,65 @@ class KernelRecord(_KernelFields):
         return cls(*iterable)
 
 
-# A record from one row of values already checked by _column_records.
+# A record from one row of values already checked, as a KernelColumns holds.
 _checked_record = partial(tuple.__new__, KernelRecord)
+
+
+class KernelColumns(Sequence):
+    """The kernels of a profile, an immutable sequence of KernelRecords held
+    as five columns, about 44 bytes a kernel: the names, the durations in an
+    array('d') and the counts in arrays('q'). A column with a value an array
+    would change (an int duration, a count past int64) stays a list, so each
+    value reads back as it went in. ==, hash and repr are the tuple's.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, records: Iterable[KernelRecord] = ()):
+        self._columns = [[], array("d"), array("q"), array("q"), array("q")]
+        if records:
+            self._extend(zip(*records), checked=False)
+
+    def _extend(self, columns: Iterable[Sequence], checked: bool = True) -> None:
+        """Append rows given as their five columns. checked: the durations
+        are floats and the counts ints, as the readers make them; otherwise
+        each column's types are looked at first."""
+        for i, values in enumerate(columns):
+            column = self._columns[i]
+            if type(column) is array:
+                kind = float if column.typecode == "d" else int
+                if checked or set(map(type, values)) <= {kind}:
+                    size = len(column)
+                    try:
+                        column.extend(values)
+                        continue
+                    except OverflowError:   # a count past int64
+                        del column[size:]
+                column = self._columns[i] = column.tolist()
+            column.extend(values)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        row = (column[index] for column in self._columns)
+        if isinstance(index, slice):
+            return tuple(map(_checked_record, zip(*row)))
+        return _checked_record(row)
+
+    def __iter__(self):
+        return map(_checked_record, zip(*self._columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -139,7 +196,7 @@ class QueryProfile:
     query_id: str
     system: str
     scale_factor: float
-    kernels: tuple[KernelRecord, ...]
+    kernels: Sequence[KernelRecord]     # held as KernelColumns
     cpu_overhead: float = 0.0       # planning + compile + per-invocation CPU cost
     setup_overhead: float = 0.0     # context init + allocations, paid once
     transfer_in_bytes: int = 0
@@ -165,7 +222,8 @@ class QueryProfile:
             value = getattr(self, fname)
             if value is not None and not 0 <= value <= 1:
                 raise ValidationError(f"{fname} must be in [0, 1], got {value}")
-        object.__setattr__(self, "kernels", tuple(self.kernels))
+        if type(self.kernels) is not KernelColumns:
+            object.__setattr__(self, "kernels", KernelColumns(self.kernels))
 
 
 @dataclass(frozen=True)
@@ -309,10 +367,10 @@ def _integral_columns(*columns: tuple) -> Sequence[Sequence[int]]:
     return [list(map(int, column)) for column in columns]
 
 
-def _column_records(values: list[tuple]) -> list[KernelRecord] | None:
-    """What _record_from_values makes of each row of values, converted and
-    checked a column at a time; None when a cell needs that row-by-row path,
-    which raises the error naming its row and column."""
+def _column_records(values: list[tuple]) -> tuple[Sequence, ...] | None:
+    """The five columns of what _record_from_values makes of each row of
+    values, converted and checked a column at a time; None when a cell needs
+    that row-by-row path, which raises the error naming its row and column."""
     try:
         if len(values[0]) == len(CANONICAL_HEADER):
             names, durations, dram, l2, ops = zip(*values)
@@ -331,8 +389,7 @@ def _column_records(values: list[tuple]) -> list[KernelRecord] | None:
             and min(dram) >= 0 and min(l2) >= 0 and min(ops) >= 0):
         return None
     # An export repeats a few kernel names many times: keep one copy of each.
-    return list(map(_checked_record,
-                    zip(map(sys.intern, names), durations, dram, l2, ops)))
+    return list(map(sys.intern, names)), durations, dram, l2, ops
 
 
 def _in_chunks(objects: list) -> Iterable[list]:
@@ -342,7 +399,7 @@ def _in_chunks(objects: list) -> Iterable[list]:
 
 
 def _records_from_objects(chunks: Iterable[list], label: str,
-                          not_mapping: str) -> list[KernelRecord]:
+                          not_mapping: str) -> KernelColumns:
     """One record per kernel object in chunks (lists of at most _CHUNK_ROWS),
     its columns resolved once per key layout.
 
@@ -360,29 +417,31 @@ def _records_from_objects(chunks: Iterable[list], label: str,
                 *map(layout.__getitem__, positions))
         return getter
 
-    records = []
+    kernels = KernelColumns()
     start = 0
     for chunk in chunks:
-        kernels = None
+        columns = None
         if set(map(type, chunk)) == {dict}:
             layout = tuple(chunk[0])
             if all(map(layout.__eq__, map(tuple, chunk))):
                 getter = getter_of(layout, start + 1)
-                kernels = _column_records(list(map(getter, chunk)))
-        if kernels is None:
-            kernels = []
+                columns = _column_records(list(map(getter, chunk)))
+        if columns is None:
+            records = []
             for i, obj in enumerate(chunk, start=start + 1):
                 if not isinstance(obj, Mapping):
                     raise SchemaError(not_mapping.format(i))
                 values = getter_of(tuple(obj), i)(obj)
-                kernels.append(_record_from_values(values, i))
-        records += kernels
+                records.append(_record_from_values(values, i))
+            columns = zip(*records)
+        kernels._extend(columns)
         start += len(chunk)
-    return records
+    return kernels
 
 
-def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRecord]:
-    """Parse a profiler counter export into one record per kernel launch.
+def parse_counter_file(stream: IO[bytes], format: str = "csv") -> KernelColumns:
+    """Parse a profiler counter export into one record per kernel launch,
+    held as columns.
 
     The stream must be seekable: csv_chunks reads a CSV file twice, and a
     JSON file is read again whole when JsonChunks cannot read it.
@@ -397,8 +456,7 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
         except ValidationError:
             stream.seek(0)
         # Read whole, the document names its first fault.
-        rows = parse_json(utf8_text(stream.read(), source), source,
-                          "JSON counter file")
+        rows = read_json(stream, source, "JSON counter file")
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
         return _records_from_objects(_in_chunks(rows), "row {}",
@@ -407,26 +465,27 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> list[KernelRec
     chunks = csv_chunks(stream, source, "counter file")
     _, [header] = next(chunks)
     getter = itemgetter(*_canonical_columns(header, "header"))
-    records = []
+    kernels = KernelColumns()
     for row_no, rows in chunks:
         # Rows that are empty or short go row by row, which skips or names them.
         full = list(filter(None, rows))
-        kernels = None
+        columns = None
         if full and min(map(len, full)) >= len(header):
-            kernels = _column_records(list(map(getter, full)))
-        if kernels is None:
-            kernels = []
+            columns = _column_records(list(map(getter, full)))
+        if columns is None:
+            records = []
             for i, row in enumerate(rows, start=row_no):
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) < len(header):
                     raise ParseError(
                         f"row {i}: expected {len(header)} fields, got {len(row)}")
-                kernels.append(_record_from_values(getter(row), i))
-        records += kernels
+                records.append(_record_from_values(getter(row), i))
+            columns = zip(*records)
+        kernels._extend(columns)
         # Free this chunk's cells before csv_chunks reads the next one.
-        del rows, full, kernels
-    return records
+        del rows, full, columns
+    return kernels
 
 
 def _format_ns(duration_s: float) -> str:
@@ -455,11 +514,6 @@ def serialize_kernels_csv(records: Iterable[KernelRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
-# KernelRecord fields by position: map over these sums faster than attribute
-# access in a generator.
-_DURATION, _DRAM_BYTES, _L2_REQUESTS, _INT_OPS = map(itemgetter, range(1, 5))
-
-
 def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
     """Sum kernel counters and derive intensities and attained bandwidths.
 
@@ -470,14 +524,13 @@ def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
         raise ValidationError(
             f"profile {profile.query_id!r}: no kernels; GPU-time predictions "
             "need at least one kernel record")
-    kernels = profile.kernels
+    _, durations, dram, requests, ops = profile.kernels._columns
     try:
         # fsum keeps aggregation exactly permutation-invariant.
-        total_duration = math.fsum(map(_DURATION, kernels))
-        total_dram = float(sum(map(_DRAM_BYTES, kernels)))
-        total_requests = sum(map(_L2_REQUESTS, kernels))
-        total_l2 = float(total_requests * hw.l2_request_bytes)
-        total_ops = float(sum(map(_INT_OPS, kernels)))
+        total_duration = math.fsum(durations)
+        total_dram = float(sum(dram))
+        total_l2 = float(sum(requests) * hw.l2_request_bytes)
+        total_ops = float(sum(ops))
     except OverflowError:
         raise ValidationError(
             f"profile {profile.query_id!r}: a kernel total is too large for "
@@ -585,7 +638,7 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
         _in_chunks(doc["kernels"]), "kernels[{}]", _KERNEL_NOT_MAPPING))
 
 
-def _profile(doc: Mapping, kernels: list[KernelRecord]) -> QueryProfile:
+def _profile(doc: Mapping, kernels: KernelColumns) -> QueryProfile:
     """The profile of kernels and of the other members of doc, a profile
     document whose keys were checked."""
     # "plan" is a reserved key: checked, then ignored.
@@ -603,7 +656,7 @@ def _profile(doc: Mapping, kernels: list[KernelRecord]) -> QueryProfile:
         query_id=str(doc["query_id"]),
         system=str(doc["system"]),
         scale_factor=number("scale_factor"),
-        kernels=tuple(kernels),
+        kernels=kernels,
         cpu_overhead=number("cpu_overhead_s"),
         setup_overhead=number("setup_overhead_s"),
         transfer_in_bytes=number("transfer_in_bytes", int, 0),
@@ -639,16 +692,16 @@ def write_profile_json(profile: QueryProfile,
     out = io.StringIO() if sink is None else sink
     head = json.dumps(_header_dict(profile), indent=2)[:-2]   # drop "\n}"
     out.write(f'{head},\n  "kernels": ')
-    kernels = profile.kernels
-    for start in range(0, len(kernels), _CHUNK_ROWS):
+    columns = profile.kernels._columns
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
         out.write(",\n" if start else "[\n")
         out.write(",\n".join([
-            _KERNEL_JSON(encode_basestring_ascii(k.kernel_name),
-                         float.__repr__(k.duration * NS_PER_S),
-                         int.__repr__(k.dram_bytes), int.__repr__(k.l2_requests),
-                         int.__repr__(k.int_ops))
-            for k in kernels[start:start + _CHUNK_ROWS]]))
-    out.write("\n  ]" if kernels else "[]")
+            _KERNEL_JSON(encode_basestring_ascii(name),
+                         float.__repr__(duration * NS_PER_S), int.__repr__(dram),
+                         int.__repr__(l2), int.__repr__(ops))
+            for name, duration, dram, l2, ops
+            in zip(*(c[start:start + _CHUNK_ROWS] for c in columns))]))
+    out.write("\n  ]" if profile.kernels else "[]")
     out.write(',\n  "plan": []\n}\n')
     return out.getvalue() if sink is None else None
 
@@ -672,8 +725,7 @@ def read_profile_json(stream: IO[bytes],
         return _profile(doc, kernels)
     except ValidationError:
         stream.seek(0)
-    return profile_from_dict(parse_json(
-        utf8_text(stream.read(), source), source, "profile JSON"))
+    return profile_from_dict(read_json(stream, source, "profile JSON"))
 
 
 def load_profile(path: str | Path,

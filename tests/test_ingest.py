@@ -446,14 +446,28 @@ def json_peaks(data: bytes, what: str, read) -> tuple[int, int, list]:
 
 
 def test_load_profile_peaks_below_its_json_parse():
-    # The kernels are read 128 at a time from 64 KiB of text, so the peak
-    # is mostly the records, not the text or a dict per kernel.
+    # The kernels are read 128 at a time from 64 KiB of text into columns,
+    # so the peak is mostly the columns, not the text or a dict per kernel.
     data = write_profile_json(random_profile(4000, 5)).encode()
     parse_peak, load_peak, kernels = json_peaks(
         data, "profile JSON",
         lambda stream: load_profile("p", lambda path: stream).kernels)
     assert len(kernels) == 4000
-    assert load_peak < 0.6 * parse_peak
+    assert load_peak < 0.35 * parse_peak
+
+
+def test_a_loaded_profile_holds_at_most_64_bytes_a_kernel():
+    # Five columns, not a tuple per kernel: about 44 bytes a kernel.
+    data = write_profile_json(random_profile(20_000, 5)).encode()
+    load_profile("p", lambda path: io.BytesIO(data))   # fills lazy caches
+    tracemalloc.start()
+    try:
+        profile = load_profile("p", lambda path: io.BytesIO(data))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile.kernels) == 20_000
+    assert held <= 64 * 20_000
 
 
 def test_json_counter_parse_peaks_below_its_json_parse():
@@ -492,6 +506,51 @@ def test_write_profile_json_streams_in_bounded_memory():
         assert sink.getvalue() == write_profile_json(profile) == \
             json.dumps(profile_to_dict(profile), indent=2) + "\n"
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# Kernel columns
+# ---------------------------------------------------------------------------
+
+# Counts an array('q') holds and counts past it, up to what a float holds.
+column_count = st.one_of(st.just(0), st.integers(0, 2**63 - 1),
+                         st.integers(2**63 - 2, 2**63 + 2),
+                         st.integers(0, 10**300))
+column_record = st.builds(
+    KernelRecord,
+    kernel_name=st.text(max_size=4).map(lambda s: "k€" + s),
+    duration=st.one_of(st.floats(1e-12, 1e3), st.integers(1, 10**6)),
+    dram_bytes=column_count, l2_requests=column_count, int_ops=column_count)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(column_record, max_size=2 * CHUNK + 2))
+def test_kernel_columns_read_back_as_the_records(rs):
+    profile = make_profile(rs)
+    kernels = profile.kernels
+    assert kernels == tuple(rs) and kernels == rs and tuple(rs) == kernels
+    assert repr(kernels) == repr(tuple(rs))
+    assert hash(kernels) == hash(tuple(rs))
+    assert repr(kernels[1:-1]) == repr(tuple(rs)[1:-1])
+    if rs:
+        assert repr(kernels[-1]) == repr(rs[-1])
+
+    totals = (math.fsum(r.duration for r in rs),
+              float(sum(r.dram_bytes for r in rs)),
+              float(sum(r.l2_requests for r in rs) * HW.l2_request_bytes),
+              float(sum(r.int_ops for r in rs)))
+    try:
+        m = aggregate(profile, HW)
+    except ValidationError:
+        # No kernels, no bytes at a level, or rates past a float.
+        assert not rs or 0 in totals[1:3] or \
+            not max(totals[1:]) / totals[0] < math.inf
+    else:
+        assert (m.total_duration, m.total_dram_bytes, m.total_l2_bytes,
+                m.total_int_ops) == totals
+
+    assert write_profile_json(profile) == \
+        json.dumps(profile_to_dict(profile), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,22 @@ whatever the block boundaries and however short the stream's reads."""
 import io
 import json
 import math
+import random
+from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roofcast import errors, ingest
 from roofcast.cli import main
-from roofcast.errors import CSV_CHUNK_ROWS, JSON_BLOCK, JsonChunks, ParseError
+from roofcast.errors import (
+    CSV_CHUNK_ROWS,
+    JSON_BLOCK,
+    JsonChunks,
+    ParseError,
+    ValidationError,
+)
 from roofcast.ingest import KernelRecord, QueryProfile, write_profile_json
 
 BLOCKS = (1, 2, 3, 7, 64, 65_536)
@@ -269,3 +279,76 @@ def test_a_damaged_counter_file_exits_2_as_read_whole(tmp_path, monkeypatch,
         assert streamed[0] == 2 and not out.exists(), name
         assert streamed[2].startswith(
             "roofcast: validation error: " + named.get(name, "")), name
+
+
+# ---------------------------------------------------------------------------
+# Differential: at any block size, the stream readers give what the whole
+# document read at once gives, records or error.
+# ---------------------------------------------------------------------------
+
+NAME_PARTS = ("k", "}", "],", '"', "\\", "é", "€", "\U0001f600", " ")
+
+
+def stream_or_whole(read, data: bytes, block: int) -> tuple:
+    """(streamed, whole): what read(stream) gives with data read in blocks
+    of `block` bytes, and with data read whole; the repr of what it returns
+    (so 1 and 1.0 differ), or the type and message of its ValidationError."""
+    results = []
+    for reader, size in ((JsonChunks, block), (WholeOnly, JSON_BLOCK)):
+        with mock.patch.object(ingest, "JsonChunks", reader), \
+                mock.patch.object(errors, "JSON_BLOCK", size):
+            try:
+                results.append(repr(read(io.BytesIO(data))))
+            except ValidationError as exc:
+                results.append((type(exc), str(exc)))
+    return tuple(results)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A profile or a JSON counter file of 0 to 300 kernels around chunk
+    boundaries, as bytes, maybe damaged; with the reader that reads it."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.choice([0, 1, 2, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                    CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 44])
+    rows = [{"kernel_name": "".join(rng.choices(NAME_PARTS, k=rng.randrange(4)))
+             + str(i), "duration_ns": rng.choice([1000, 1000.5, 2e3]),
+             "dram_bytes": rng.randrange(1 << 40), "l2_requests": 64,
+             "int_ops": rng.choice([0, 10**6, 1e6])} for i in range(n)]
+    if rng.random() < 0.5:
+        doc = profile_doc(0)
+        doc["kernels"] = rows
+        read = partial(ingest.read_profile_json, source="p")
+    else:
+        doc = rows
+        read = partial(ingest.parse_counter_file, format="json")
+    text = json.dumps(doc, indent=rng.choice([None, 1, 2]),
+                      ensure_ascii=rng.random() < 0.5)
+    if isinstance(doc, dict) and rng.random() < 0.1:   # kernels given twice
+        text = text[:-1] + ', "kernels": [' + json.dumps(rows[:1])[1:] + "}"
+    data = text.encode()
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        at = rng.randrange(len(data) + 1)
+        damage = rng.choice(["cut", "insert", "delete", "bom", "trailing"])
+        if damage == "cut":
+            data = data[:at]
+        elif damage == "insert":
+            data = data[:at] + rng.choice(
+                [b"}", b"],", b'"', b",", b"\xff", b"\xe2\x82", b" ", b"0",
+                 b"{}", b"[", b"\xef\xbb\xbf"]) + data[at:]
+        elif damage == "delete":
+            data = data[:at] + data[at + rng.randrange(1, 8):]
+        elif damage == "bom":
+            data = b"\xef\xbb\xbf" + data
+        else:
+            data += rng.choice([b" ", b"\n", b" x", b"]", b"}", b"{}"])
+    block = draw(st.integers(1, 4096))
+    return read, data, block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(damaged_documents())
+def test_stream_readers_match_the_whole_document(case):
+    read, data, block = case
+    streamed, whole = stream_or_whole(read, data, block)
+    assert streamed == whole
