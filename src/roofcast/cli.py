@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
@@ -91,21 +90,15 @@ class RunManifest:
         return cls(options)
 
     def open(self, path: str | Path) -> IO[bytes]:
-        """An input file opened to be read as bytes and digested: every
-        command opens its inputs so. A file that ends in its first 64 KiB is
-        closed and handed back as a BytesIO of its bytes, named path; a
-        longer one is rewound after the digest, to be streamed."""
+        """An input file opened to be read as bytes, digested 64 KiB at a
+        time and rewound to be parsed: every command opens its inputs so,
+        and streams them, never holding one whole."""
         stream = open(path, "rb")
         try:
-            digest = hashlib.sha256(block := stream.read(1 << 16))
-            if len(block) < 1 << 16:
-                stream.close()
-                stream = io.BytesIO(block)
-                stream.name = str(path)
-            else:
-                while block := stream.read(1 << 16):
-                    digest.update(block)
-                stream.seek(0)
+            digest = hashlib.sha256()
+            while block := stream.read(1 << 16):
+                digest.update(block)
+            stream.seek(0)
         except BaseException:
             stream.close()
             raise

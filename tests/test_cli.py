@@ -514,13 +514,13 @@ def test_every_input_file_is_closed(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("size", [0, 100, (1 << 16) - 1, 1 << 16,
                                   (1 << 16) + 1, 3 << 16])
 def test_manifest_open_digests_and_hands_back_the_whole_file(tmp_path, size):
-    # A file shorter than one 64 KiB block is read once, into a BytesIO.
+    # Files around the 64 KiB block size are digested whole and rewound.
     path = tmp_path / "input.json"
     data = (bytes(range(256)) * (size // 256 + 1))[:size]
     path.write_bytes(data)
     manifest = RunManifest({})
     with manifest.open(path) as stream:
-        assert stream.name == str(path)
+        assert str(stream.name) == str(path)
         assert stream.read() == data
     assert manifest.input_digests == {
         str(path): hashlib.sha256(data).hexdigest()}
