@@ -9,14 +9,21 @@ byte-identical. Exit codes: 0 success, 1 I/O failure, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO
+
+# hashlib loads OpenSSL; the built-in module hashes a one-block input alone.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .advisor import Objective, advise
@@ -92,12 +99,20 @@ class RunManifest:
     def open(self, path: str | Path) -> IO[bytes]:
         """An input file opened to be read as bytes, digested 64 KiB at a
         time and rewound to be parsed: every command opens its inputs so,
-        and streams them, never holding one whole."""
+        and streams them, never holding one whole. A file that ends in its
+        first block is hashed by the built-in module; a longer one loads
+        hashlib, whose OpenSSL hash is faster on many blocks."""
         stream = open(path, "rb")
         try:
-            digest = hashlib.sha256()
-            while block := stream.read(1 << 16):
-                digest.update(block)
+            block = stream.read(1 << 16)
+            if more := stream.read(1 << 16):
+                import hashlib
+                digest = hashlib.sha256(block)
+                while more:
+                    digest.update(more)
+                    more = stream.read(1 << 16)
+            else:
+                digest = sha256(block)
             stream.seek(0)
         except BaseException:
             stream.close()
@@ -116,7 +131,7 @@ class RunManifest:
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _resolve_hw(args, manifest: RunManifest) -> HardwareSpec:
@@ -507,6 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"roofcast: internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:
+        import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -526,6 +526,31 @@ def test_manifest_open_digests_and_hands_back_the_whole_file(tmp_path, size):
         str(path): hashlib.sha256(data).hexdigest()}
 
 
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_report_digests_are_sha256_of_the_file_and_the_manifest(
+        tmp_path, capsys, blocks):
+    # perfbench strips the manifest from a report before digesting it, so the
+    # digests are pinned here, for a file hashed by the built-in module and
+    # for one streamed through hashlib.
+    doc = profile_to_dict(profile_from_utils(HW, 0.1, 0.3, 0.2))
+    kernel = doc["kernels"][0]
+    count = 1 if blocks == 1 else (5 << 15) // (len(json.dumps(kernel)) + 2)
+    doc["kernels"] = [dict(kernel, kernel_name=f"k{i}") for i in range(count)]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    data = path.read_bytes()
+    assert (blocks - 1) << 16 < len(data) <= blocks << 16
+    code, out = run(capsys, "roofline", "--profile", str(path))
+    assert code == 0
+    report = json.loads(out)
+    manifest = report["manifest"]
+    assert manifest["input_digests"] == {
+        str(path): hashlib.sha256(data).hexdigest()}
+    canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    assert report["manifest_hash"] == hashlib.sha256(
+        canonical.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("command", ["concurrency", "advise"])
 def test_manifest_digests_the_profiles_a_workload_names(tmp_path, capsys,
                                                          command):
@@ -821,6 +846,21 @@ def test_integral_float_workload_fields_are_accepted(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert (report["doc"], report["dispatch_count"]) == (2, 1000)
+
+
+def test_unexpected_error_exits_3_with_a_traceback(tmp_path, capsys,
+                                                  monkeypatch):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("roofcast.cli.estimate_qps", fail)
+    workload = write_workload(tmp_path, write_profile(tmp_path))
+    code = main(["concurrency", "--workload", str(workload)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" in captured.err
+    assert "RuntimeError: boom" in captured.err
+    assert captured.out == ""
 
 
 def test_nan_in_report_exits_3_without_traceback(tmp_path, capsys,

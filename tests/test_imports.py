@@ -1,17 +1,27 @@
-"""Module boundaries inside the roofcast package and the names the
-benchmark binds to."""
+"""Module boundaries inside the roofcast package, the modules a run
+loads, and the names the benchmark binds to."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import roofcast
+from roofcast.evalkit import generate_synthetic
+from roofcast.ingest import write_profile_json
 
 SRC = Path(roofcast.__file__).parent
+# CPython's built-in SHA-256 module, which cli imports before hashlib: it is
+# _sha256 up to 3.11 and _sha2 from 3.12, and each name is in
+# sys.stdlib_module_names only on its own versions.
+BUILTIN_SHA256 = {"_sha256", "_sha2"}
 
 
 def _private(name: str) -> bool:
@@ -47,7 +57,7 @@ def test_roofcast_imports_only_the_standard_library():
             outside.extend(
                 f"{path.name}: {name}" for name in names
                 if name.split(".")[0] not in {*sys.stdlib_module_names,
-                                              "roofcast"})
+                                              *BUILTIN_SHA256, "roofcast"})
     assert outside == []
     tomllib = pytest.importorskip("tomllib")
     with (SRC.parent.parent / "pyproject.toml").open("rb") as source:
@@ -95,3 +105,68 @@ def test_arguments_the_benchmark_reads_keep_their_positions():
         fn = getattr(importlib.import_module(f"roofcast.{module}"), func)
         params = list(inspect.signature(fn).parameters)
         assert params[index] == name, (traced, index, params)
+
+
+# Runs main(ARGV) in a fresh interpreter and writes its exit code and which
+# of the heavy modules it loaded to OUT: python -c PROBE OUT ARGV...
+PROBE = """\
+import json, sys
+from roofcast.cli import main
+code = main(sys.argv[2:])
+heavy = [name for name in ("_hashlib", "hashlib", "traceback")
+         if name in sys.modules]
+with open(sys.argv[1], "w") as out:
+    json.dump([code, heavy], out)
+"""
+
+
+def loaded_by(work: Path, *argv: str) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    env.pop("ROOFCAST_HW", None)
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, "probe.json", *argv, "--out", "out"],
+        cwd=work, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    code, heavy = json.loads((work / "probe.json").read_text())
+    assert code == 0, result.stderr
+    return heavy
+
+
+def write_profiles(work: Path, kernels_each: int = 0) -> list[str]:
+    """Two synthetic profiles and a workload naming both; when kernels_each
+    is given, each profile's kernels are repeated up to that count."""
+    names = []
+    for profile in generate_synthetic(3, 2)[1]:
+        if kernels_each:
+            kernels = [*profile.kernels] * kernels_each
+            profile = dataclasses.replace(profile,
+                                          kernels=kernels[:kernels_each])
+        names.append(f"{profile.query_id}.json")
+        (work / names[-1]).write_text(write_profile_json(profile),
+                                      encoding="utf-8")
+    doc = {"schema_version": 1, "doc": 2, "dispatch_count": 200, "seed": 0,
+           "queries": [{"profile": name, "weight": 1.0} for name in names]}
+    (work / "workload.json").write_text(json.dumps(doc))
+    return names
+
+
+@pytest.mark.parametrize("argv", [
+    ("roofline", "--profile", "{0}"),
+    ("predict", "--profile", "{0}", "--alloc", "0.5,0.5,0.5,0.5",
+     "--table"),
+    ("concurrency", "--workload", "workload.json"),
+], ids=["roofline", "predict-table", "concurrency"])
+def test_one_block_inputs_load_neither_hashlib_nor_traceback(tmp_path, argv):
+    # A file that ends in its first 64 KiB block is hashed by the built-in
+    # SHA-256 module, so no OpenSSL; traceback is for exit 3 alone.
+    names = write_profiles(tmp_path)
+    assert all((tmp_path / name).stat().st_size < 1 << 16
+               for name in [*names, "workload.json"])
+    argv = [arg.format(*names) for arg in argv]
+    assert loaded_by(tmp_path, *argv) == []
+
+
+def test_a_profile_longer_than_one_block_loads_hashlib(tmp_path):
+    name = write_profiles(tmp_path, kernels_each=600)[0]
+    assert (tmp_path / name).stat().st_size > 1 << 16
+    assert "hashlib" in loaded_by(tmp_path, "roofline", "--profile", name)
