@@ -530,8 +530,7 @@ def test_manifest_open_digests_and_hands_back_the_whole_file(tmp_path, size):
 def test_report_digests_are_sha256_of_the_file_and_the_manifest(
         tmp_path, capsys, blocks):
     # perfbench strips the manifest from a report before digesting it, so the
-    # digests are pinned here, for a file hashed by the built-in module and
-    # for one streamed through hashlib.
+    # digests are pinned here, for a one-block and a three-block file.
     doc = profile_to_dict(profile_from_utils(HW, 0.1, 0.3, 0.2))
     kernel = doc["kernels"][0]
     count = 1 if blocks == 1 else (5 << 15) // (len(json.dumps(kernel)) + 2)

@@ -150,23 +150,27 @@ def write_profiles(work: Path, kernels_each: int = 0) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("argv", [
-    ("roofline", "--profile", "{0}"),
-    ("predict", "--profile", "{0}", "--alloc", "0.5,0.5,0.5,0.5",
-     "--table"),
-    ("concurrency", "--workload", "workload.json"),
-], ids=["roofline", "predict-table", "concurrency"])
-def test_one_block_inputs_load_neither_hashlib_nor_traceback(tmp_path, argv):
-    # A file that ends in its first 64 KiB block is hashed by the built-in
-    # SHA-256 module, so no OpenSSL; traceback is for exit 3 alone.
-    names = write_profiles(tmp_path)
-    assert all((tmp_path / name).stat().st_size < 1 << 16
-               for name in [*names, "workload.json"])
+@pytest.mark.parametrize("argv, multi_block", [
+    (("roofline", "--profile", "{0}"), False),
+    (("predict", "--profile", "{0}", "--alloc", "0.5,0.5,0.5,0.5",
+      "--table"), False),
+    (("concurrency", "--workload", "workload.json"), False),
+    (("roofline", "--profile", "{0}"), True),
+    (("concurrency", "--workload", "workload.json"), True),
+    (("eval", "--samples", "samples.csv"), True),
+], ids=["roofline", "predict-table", "concurrency", "roofline-multi-block",
+        "concurrency-multi-block", "eval-samples-multi-block"])
+def test_no_input_size_loads_hashlib_or_traceback(tmp_path, argv,
+                                                   multi_block):
+    # Every input, ending in its first 64 KiB block or not, is hashed by the
+    # built-in SHA-256 module, so no OpenSSL; traceback is for exit 3 alone.
+    names = write_profiles(tmp_path, kernels_each=600 if multi_block else 0)
+    (tmp_path / "samples.csv").write_text(
+        "label,estimated,actual\n"
+        + "".join(f"q{i},1.1,1.0\n" for i in range(8000)))
+    read = (["samples.csv"] if argv[0] == "eval"
+            else [*names, "workload.json"])
+    longest = max((tmp_path / name).stat().st_size for name in read)
+    assert (longest > 1 << 16) == multi_block
     argv = [arg.format(*names) for arg in argv]
     assert loaded_by(tmp_path, *argv) == []
-
-
-def test_a_profile_longer_than_one_block_loads_hashlib(tmp_path):
-    name = write_profiles(tmp_path, kernels_each=600)[0]
-    assert (tmp_path / name).stat().st_size > 1 << 16
-    assert "hashlib" in loaded_by(tmp_path, "roofline", "--profile", name)
