@@ -136,22 +136,23 @@ def _resolve_hw(args, manifest: RunManifest) -> HardwareSpec:
     return default_hardware_spec()
 
 
-def _emit_report(payload: dict, manifest: RunManifest, out: str | None) -> None:
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "manifest": manifest.to_dict(),
-        "manifest_hash": manifest.hash(),
-        **payload,
-    }
-    try:
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise InternalInvariantError(f"report is not valid JSON: {exc}") from None
-    _write_text(text, out)
-
-
-def _write_text(text: str, out: str | None) -> None:
-    """Write text to the --out file, or to stdout when there is none."""
+def _emit_report(result: dict | str, manifest: RunManifest,
+                 out: str | None) -> None:
+    """Write what a command returned to the --out file, or to stdout when
+    there is none: a payload as a JSON report, the --table text as it is."""
+    text = result
+    if isinstance(result, dict):
+        report = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "manifest": manifest.to_dict(),
+            "manifest_hash": manifest.hash(),
+            **result,
+        }
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise InternalInvariantError(
+                f"report is not valid JSON: {exc}") from None
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -197,7 +198,7 @@ def _find_config(hw: HardwareSpec, name: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, manifest: RunManifest) -> None:
     fmt = args.format or ("json" if args.input.endswith(".json") else "csv")
     with open(args.input, "rb") as stream:
         kernels = parse_counter_file(stream, fmt)
@@ -219,11 +220,9 @@ def cmd_ingest(args) -> int:
             write_profile_json(profile, sink)
     else:
         write_profile_json(profile, sys.stdout)
-    return EXIT_OK
 
 
-def cmd_roofline(args) -> int:
-    manifest = RunManifest.of(args)
+def cmd_roofline(args, manifest: RunManifest) -> dict:
     profile = load_profile(args.profile, manifest.open)
     hw = _resolve_hw(args, manifest)
     metrics = aggregate(profile, hw)
@@ -248,12 +247,10 @@ def cmd_roofline(args) -> int:
         ceilings, point = roofs[MemLevel(args.level)]
         with open(args.plot, "wb") as sink:
             emit_plot_data([point], ceilings, sink)
-    _emit_report(payload, manifest, args.out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_predict(args) -> int:
-    manifest = RunManifest.of(args)
+def cmd_predict(args, manifest: RunManifest) -> dict | str:
     profile = load_profile(args.profile, manifest.open)
     hw = _resolve_hw(args, manifest)
     if args.alloc:
@@ -286,21 +283,17 @@ def cmd_predict(args) -> int:
             f"{'direction':<14} {prediction.direction.value}",
             f"{'confidence':<14} {prediction.confidence.value}",
         ]
-        _write_text("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    payload = {
+        return "\n".join(lines) + "\n"
+    return {
         "query_id": profile.query_id,
         "allocation": alloc_name,
         "prediction": prediction.to_dict(),
         "linear_baseline_time_s": linear_baseline(
             metrics.total_duration, alloc.compute_fraction),
     }
-    _emit_report(payload, manifest, args.out)
-    return EXIT_OK
 
 
-def cmd_concurrency(args) -> int:
-    manifest = RunManifest.of(args)
+def cmd_concurrency(args, manifest: RunManifest) -> dict:
     hw = _resolve_hw(args, manifest)
     workload = load_workload(args.workload, manifest.open)
     overrides = {name: value for name in ("doc", "seed")
@@ -328,19 +321,16 @@ def cmd_concurrency(args) -> int:
     finally:
         if trace_sink is not None:
             trace_sink.close()
-    payload = {
+    return {
         "doc": workload.doc,
         "config": config.name,
         "dispatch_count": workload.dispatch_count,
         "estimated_qps": estimated,
         "simulated_qps": simulated,
     }
-    _emit_report(payload, manifest, args.out)
-    return EXIT_OK
 
 
-def cmd_advise(args) -> int:
-    manifest = RunManifest.of(args)
+def cmd_advise(args, manifest: RunManifest) -> dict | str:
     hw = _resolve_hw(args, manifest)
     workload = load_workload(args.workload, manifest.open)
     objective = Objective(args.objective)
@@ -353,21 +343,16 @@ def cmd_advise(args) -> int:
                 f"{row.config.name:<28} {len(row.config.instances):>3} "
                 f"{row.predicted_qps:>12.4g} {row.predicted_mean_latency:>12.4g} "
                 f"{row.resource_fraction_used:>6.4g}  -")
-        _write_text("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    _emit_report(report.to_dict(), manifest, args.out)
-    return EXIT_OK
+        return "\n".join(lines) + "\n"
+    return report.to_dict()
 
 
-def cmd_eval(args) -> int:
-    manifest = RunManifest.of(args)
+def cmd_eval(args, manifest: RunManifest) -> dict:
     if args.samples:
         with manifest.open(args.samples) as stream:
             samples = read_samples_csv(stream)
         cdf = error_cdf(samples)
-        payload = {"n_samples": len(samples), "cdf": cdf.to_dict()}
-        _emit_report(payload, manifest, args.out)
-        return EXIT_OK
+        return {"n_samples": len(samples), "cdf": cdf.to_dict()}
 
     hw = _resolve_hw(args, manifest)
     grid = _parse_fractions(args.grid, "--grid")
@@ -397,7 +382,7 @@ def cmd_eval(args) -> int:
                      for s in linear_samples])
         with open(args.samples_out, "wb") as sink:
             write_samples_csv(tagged, sink)
-    payload = {
+    return {
         "n_queries": args.n_queries,
         "grid": grid,
         "n_samples": len(roofline_samples),
@@ -406,8 +391,6 @@ def cmd_eval(args) -> int:
         "linear": {"median_pct": linear_cdf.median_pct,
                    "p95_pct": linear_cdf.p95_pct},
     }
-    _emit_report(payload, manifest, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +488,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A command returns a report's payload, the --table text, or None
+        # when it wrote its own output.
+        manifest = RunManifest.of(args)
+        result = args.func(args, manifest)
+        if result is not None:
+            _emit_report(result, manifest, args.out)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"roofcast: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

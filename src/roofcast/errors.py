@@ -1,6 +1,9 @@
 """Exception hierarchy shared by all roofcast modules, and the one reader
-of each input format (UTF-8 text, JSON, CSV rows, document keys) that
-raises it.
+of each input format that raises it: read_json (a JSON document, whole),
+csv_chunks (CSV rows), JsonChunks (the array of a JSON document, in chunks),
+check_keys (document keys) and coerce (numbers). read_json and csv_chunks
+decode UTF-8 with one block decoder, _utf8_blocks; JsonChunks has its own
+and leaves its faults to a whole re-read to name.
 
 The CLI maps these onto exit codes: ValidationError (and subclasses)
 exit 2, I/O errors exit 1, InternalInvariantError exit 3.
@@ -9,7 +12,7 @@ exit 2, I/O errors exit 1, InternalInvariantError exit 3.
 import codecs
 import csv
 import json
-from collections.abc import Iterator, Mapping, Set
+from collections.abc import Iterator, Mapping, Sequence, Set
 from os import PathLike
 from typing import IO
 
@@ -56,22 +59,6 @@ def integral(value: object) -> int:
     return int(value) if isinstance(value, int) else int(number)
 
 
-def utf8_text(data: bytes, source: object) -> str:
-    """data decoded as UTF-8, less one leading byte order mark (as
-    spreadsheet exports write), or a ValidationError naming source, the
-    file it was read from.
-
-    The BOM is dropped after decoding, not by the "utf-8-sig" codec, so the
-    offset of a bad byte is an offset into the file.
-    """
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-
-
 def open_input(path: str | PathLike) -> IO[bytes]:
     """The input file at path, opened to be read as bytes: how a loader
     opens a file when no run manifest digests it."""
@@ -87,39 +74,24 @@ def reason(exc: Exception) -> str:
     ).removesuffix(" - do you need to open the file in universal-newline mode?")
 
 
-def parse_json(text: str, source: object, what: str) -> object:
-    """The JSON document in text, or a ParseError naming source, the file it
-    was read from, and what it should hold: "<source>: invalid <what>: ...".
+def _utf8_blocks(stream: IO[bytes], source: object) -> Iterator[str]:
+    """The text of a binary stream from where it stands to its end, decoded
+    as UTF-8 64 KiB at a time and handed out a block at a time, less one
+    leading byte order mark (as spreadsheet exports write); or a
+    ValidationError naming source, the file it was read from, and the
+    offset of the bad byte from there.
 
-    Nesting too deep for the decoder is refused the same way.
+    The BOM is dropped after decoding, not by the "utf-8-sig" codec, so the
+    offset of a bad byte is an offset into the file.
     """
-    try:
-        return json.loads(text)
-    # ValueError: also an int past the int-to-text limit.
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{source}: invalid {what}: {reason(exc)}") from None
-
-
-def read_json(stream: IO[bytes], source: object, what: str) -> object:
-    """parse_json of the UTF-8 text in a binary stream, read whole."""
-    return parse_json(utf8_text(stream.read(), source), source, what)
-
-
-# Rows csv_chunks hands out at a time: enough to spread a column reader's
-# fixed cost over many rows, few enough that a wide file's cells are never
-# all held.
-CSV_CHUNK_ROWS = 128
-
-
-def _check_utf8(stream: IO[bytes], source: object) -> None:
-    """A ValidationError, as utf8_text raises it, unless stream holds UTF-8
-    text from where it stands to its end; it is read 64 KiB at a time and
-    nothing decoded is kept, and a bad byte's offset counts from there."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    start = 0
+    start, bom = 0, "\ufeff"
     try:
         while block := stream.read(1 << 16):
-            decoder.decode(block)
+            text = decoder.decode(block)
+            if bom and text:
+                text, bom = text.removeprefix(bom), ""
+            yield text
             start += len(block)
         decoder.decode(b"", final=True)
     except UnicodeDecodeError as exc:
@@ -129,6 +101,33 @@ def _check_utf8(stream: IO[bytes], source: object) -> None:
         raise ValidationError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {offset})"
         ) from None
+
+
+def read_json(stream: IO[bytes], source: object, what: str) -> object:
+    """The JSON document in the UTF-8 text of a binary stream, read whole,
+    or a ParseError naming source, the file it was read from, and what it
+    should hold: "<source>: invalid <what>: ...".
+
+    Nesting too deep for the decoder is refused the same way.
+    """
+    text = "".join(_utf8_blocks(stream, source))
+    try:
+        return json.loads(text)
+    # ValueError: also an int past the int-to-text limit.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{source}: invalid {what}: {reason(exc)}") from None
+
+
+# Rows csv_chunks and in_chunks hand out at a time: enough to spread a
+# column reader's fixed cost over many rows, few enough that a wide file's
+# cells are never all held.
+CSV_CHUNK_ROWS = 128
+
+
+def in_chunks(items: Sequence) -> Iterator[Sequence]:
+    """items, CSV_CHUNK_ROWS at a time."""
+    return (items[start:start + CSV_CHUNK_ROWS]
+            for start in range(0, len(items), CSV_CHUNK_ROWS))
 
 
 def csv_chunks(stream: IO[bytes], source: object, what: str
@@ -142,12 +141,13 @@ def csv_chunks(stream: IO[bytes], source: object, what: str
     offset of the bad byte in the file before any row error; then it is
     read again from the start and decoded a line at a time, and only "\n"
     ends a line. Neither pass holds the whole file, and the stream is left
-    open. One leading byte order mark is skipped, as utf8_text drops it. A
-    row the csv module cannot split raises a ParseError naming source and
-    the row, after the rows before it were handed out, so their errors come
-    first.
+    open. One leading byte order mark is skipped, as _utf8_blocks drops
+    it. A row the csv module cannot split raises a ParseError naming source
+    and the row, after the rows before it were handed out, so their errors
+    come first.
     """
-    _check_utf8(stream, source)
+    for _ in _utf8_blocks(stream, source):
+        pass
     stream.seek(0)
     if stream.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         stream.seek(0)
@@ -166,7 +166,7 @@ def csv_chunks(stream: IO[bytes], source: object, what: str
         raise ParseError(
             f"{source}: row {row_no + len(rows)}: {reason(exc)}") from None
     if row_no == 1:
-        raise SchemaError(f"empty {what}: header row required")
+        raise SchemaError(f"{source}: empty {what}: header row required")
     yield row_no, rows
 
 
@@ -188,8 +188,8 @@ class JsonChunks:
     the document's other top-level members.
 
     The stream is read JSON_BLOCK bytes at a time through an incremental
-    UTF-8 decoder, and one leading byte order mark is dropped, as utf8_text
-    drops it. A document that ends in its first block is decoded whole.
+    UTF-8 decoder, and one leading byte order mark is dropped, as
+    _utf8_blocks drops it. A document that ends in its first block is decoded whole.
     Otherwise all complete elements in the text held are decoded at once,
     up to its last "}": if that decode succeeds, the text was exactly those
     elements. If it fails (a "}" inside a string, say), the elements of that
@@ -232,8 +232,7 @@ class JsonChunks:
                 doc, self.members = doc.pop(self.key, None), doc
             if not isinstance(doc, list):
                 raise ValueError("no array")
-            for start in range(0, len(doc), CSV_CHUNK_ROWS):
-                yield doc[start:start + CSV_CHUNK_ROWS]
+            yield from in_chunks(doc)
             return
         if self.key is None:
             self._expect("[")

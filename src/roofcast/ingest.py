@@ -36,7 +36,6 @@ from typing import IO, NamedTuple
 
 from .core import HardwareSpec
 from .errors import (
-    CSV_CHUNK_ROWS,
     DegenerateProfileError,
     JsonChunks,
     ParseError,
@@ -45,6 +44,7 @@ from .errors import (
     check_keys,
     coerce,
     csv_chunks,
+    in_chunks,
     integral,
     read_json,
 )
@@ -331,11 +331,6 @@ def _record_from_values(values: tuple, row: int) -> KernelRecord:
         raise _conversion_error(values, row) from None
 
 
-# Kernel objects _column_records converts, and write_profile_json writes, at
-# a time: as many as the CSV rows csv_chunks and JsonChunks hand out.
-_CHUNK_ROWS = CSV_CHUNK_ROWS
-
-
 def _finite_column(column: tuple) -> Sequence[float]:
     """Each cell as _finite converts it; an exception if any cell fails."""
     kind, = set(map(type, column))      # ValueError for a mixed column
@@ -392,16 +387,10 @@ def _column_records(values: list[tuple]) -> tuple[Sequence, ...] | None:
     return list(map(sys.intern, names)), durations, dram, l2, ops
 
 
-def _in_chunks(objects: list) -> Iterable[list]:
-    """objects, _CHUNK_ROWS at a time."""
-    return (objects[start:start + _CHUNK_ROWS]
-            for start in range(0, len(objects), _CHUNK_ROWS))
-
-
 def _records_from_objects(chunks: Iterable[list], label: str,
                           not_mapping: str) -> KernelColumns:
-    """One record per kernel object in chunks (lists of at most _CHUNK_ROWS),
-    its columns resolved once per key layout.
+    """One record per kernel object in chunks (lists of at most
+    CSV_CHUNK_ROWS), its columns resolved once per key layout.
 
     A chunk of dicts that share one key layout is read a column at a time.
     label ("row {}") names the 1-based position in a layout error and
@@ -459,7 +448,7 @@ def parse_counter_file(stream: IO[bytes], format: str = "csv") -> KernelColumns:
         rows = read_json(stream, source, "JSON counter file")
         if not isinstance(rows, list):
             raise SchemaError("JSON counter file must be an array of kernel objects")
-        return _records_from_objects(_in_chunks(rows), "row {}",
+        return _records_from_objects(in_chunks(rows), "row {}",
                                      "row {}: expected an object")
 
     chunks = csv_chunks(stream, source, "counter file")
@@ -535,9 +524,6 @@ def aggregate(profile: QueryProfile, hw: HardwareSpec) -> AggregateMetrics:
         raise ValidationError(
             f"profile {profile.query_id!r}: a kernel total is too large for "
             "a float") from None
-    if total_duration <= 0:
-        raise ValidationError(
-            f"profile {profile.query_id!r}: total duration must be > 0")
     if total_dram == 0 or total_l2 == 0:
         raise DegenerateProfileError(
             f"profile {profile.query_id!r}: zero bytes at "
@@ -635,7 +621,7 @@ def profile_from_dict(doc: Mapping) -> QueryProfile:
     if not isinstance(doc["kernels"], list):
         raise SchemaError("profile document: kernels must be a list")
     return _profile(doc, _records_from_objects(
-        _in_chunks(doc["kernels"]), "kernels[{}]", _KERNEL_NOT_MAPPING))
+        in_chunks(doc["kernels"]), "kernels[{}]", _KERNEL_NOT_MAPPING))
 
 
 def _profile(doc: Mapping, kernels: KernelColumns) -> QueryProfile:
@@ -681,7 +667,7 @@ _KERNEL_JSON = (
 def write_profile_json(profile: QueryProfile,
                        sink: IO[str] | None = None) -> str | None:
     """json.dumps(profile_to_dict(profile), indent=2) + "\\n", byte for byte,
-    written to the text sink _CHUNK_ROWS kernels at a time; with no sink,
+    written to the text sink CSV_CHUNK_ROWS kernels at a time; with no sink,
     returned as a str.
 
     json.dumps with indent encodes in pure Python, so the kernels, most of a
@@ -692,15 +678,13 @@ def write_profile_json(profile: QueryProfile,
     out = io.StringIO() if sink is None else sink
     head = json.dumps(_header_dict(profile), indent=2)[:-2]   # drop "\n}"
     out.write(f'{head},\n  "kernels": ')
-    columns = profile.kernels._columns
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        out.write(",\n" if start else "[\n")
+    for i, chunk in enumerate(zip(*map(in_chunks, profile.kernels._columns))):
+        out.write(",\n" if i else "[\n")
         out.write(",\n".join([
             _KERNEL_JSON(encode_basestring_ascii(name),
                          float.__repr__(duration * NS_PER_S), int.__repr__(dram),
                          int.__repr__(l2), int.__repr__(ops))
-            for name, duration, dram, l2, ops
-            in zip(*(c[start:start + _CHUNK_ROWS] for c in columns))]))
+            for name, duration, dram, l2, ops in zip(*chunk)]))
     out.write("\n  ]" if profile.kernels else "[]")
     out.write(',\n  "plan": []\n}\n')
     return out.getvalue() if sink is None else None
@@ -711,7 +695,7 @@ def read_profile_json(stream: IO[bytes],
     """The profile in the JSON document in a seekable binary stream; errors
     name source, its file.
 
-    The kernels are read and checked _CHUNK_ROWS at a time, then the other
+    The kernels are read and checked CSV_CHUNK_ROWS at a time, then the other
     members as profile_from_dict checks them. On any fault the stream is
     read again whole, so the error is the one profile_from_dict raises for
     the whole document.

@@ -67,6 +67,14 @@ def test_ingest_valid_csv(tmp_path, capsys):
     assert len(doc["kernels"]) == 3
 
 
+def test_ingest_without_out_prints_the_bytes_out_writes(tmp_path, capsys):
+    out = tmp_path / "profile.json"
+    assert main(["ingest", "--input", str(GOLDEN), "--out", str(out)]) == 0
+    code, printed = run(capsys, "ingest", "--input", str(GOLDEN))
+    assert code == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
 def test_ingest_missing_column_exits_2_and_names_it(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("kernel_name,duration_ns,l2_requests,int_ops\nk,1,1,1\n")
@@ -290,6 +298,39 @@ def test_a_fraction_too_small_for_a_float_exits_2_naming_it(tmp_path, capsys,
     assert captured.out == ""
 
 
+# A question roofcast refuses by name: the command line, with {profile} a
+# profile and {no_ops} one whose kernels do no integer work, and the message.
+REFUSED = {
+    "predict-three-fractions": (
+        ["predict", "--profile", "{profile}", "--alloc", "0.5,0.5,0.5"],
+        "--alloc expects 4 comma-separated fractions"),
+    "predict-unknown-instance": (
+        ["predict", "--profile", "{profile}", "--mig", "nope"],
+        "no partition instance named 'nope' in the catalog of"),
+    "concurrency-unknown-config": (
+        ["concurrency", "--workload", "{workload}", "--mig", "nope"],
+        "no partition config named 'nope' in the catalog of"),
+    "roofline-no-int-ops": (
+        ["roofline", "--profile", "{no_ops}"],
+        "roofline point 'z': ai and throughput must be > 0"),
+}
+
+
+@pytest.mark.parametrize("argv, named", REFUSED.values(), ids=REFUSED.keys())
+def test_a_question_it_cannot_answer_exits_2_naming_why(tmp_path, capsys,
+                                                        argv, named):
+    profile = write_profile(tmp_path)
+    paths = {"profile": profile, "workload": write_workload(tmp_path, profile),
+             "no_ops": write_profile(tmp_path, "no_ops.json", query_id="z",
+                                     util_compute=0.0)}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_roofline_report_and_plot(tmp_path, capsys):
     profile = write_profile(tmp_path)
     plot = tmp_path / "plot.csv"
@@ -469,6 +510,21 @@ def test_eval_samples_mode(tmp_path, capsys):
         str(samples): hashlib.sha256(samples.read_bytes()).hexdigest()}
 
 
+def test_eval_samples_out_reads_back(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    code, out = run(capsys, "eval", "--n-queries", "3",
+                    "--samples-out", str(samples))
+    assert code == 0
+    n = json.loads(out)["n_samples"]
+    rows = samples.read_text().splitlines()
+    assert rows[0] == "label,estimated,actual"
+    assert [row.split(":")[0] for row in rows[1:]] == \
+        ["roofline"] * n + ["linear"] * n
+    code, out = run(capsys, "eval", "--samples", str(samples))
+    assert code == 0
+    assert json.loads(out)["n_samples"] == 2 * n
+
+
 def test_hw_env_var_overrides_default(tmp_path, capsys, monkeypatch):
     hw_json = tmp_path / "custom.json"
     hw_json.write_text(json.dumps(HW_DOC))
@@ -634,6 +690,7 @@ def shared_catalog(**fields) -> list:
                     "l2_bw": 1.0, "mem_capacity": 1.0}])},
      "partition instance 'x': compute_fraction must be finite and > 0, "
      "got 0.0"),
+    ("advise", {"mig_catalog": {}}, "mig_catalog must be a list of configs"),
 ])
 def test_malformed_hardware_spec_exits_2_naming_the_field(tmp_path, capsys,
                                                           command, fields,
@@ -716,6 +773,10 @@ UNPARSABLE = {
         ["roofline", "--profile", "{profile}", "--hw", "{bad}"], "hw.yaml",
         "schema_version: 1\nname: custom\n",
         "invalid hardware spec JSON: Expecting value: line 1 column 1"),
+    "counter-csv-empty": (["ingest", "--input", "{bad}"], "empty.csv", "",
+                          "empty counter file: header row required"),
+    "samples-empty": (["eval", "--samples", "{bad}"], "empty.csv", "",
+                      "empty samples file: header row required"),
 }
 
 

@@ -19,7 +19,7 @@ import re
 import pytest
 
 from roofcast.cli import main
-from roofcast.errors import ValidationError, csv_chunks, utf8_text
+from roofcast.errors import ValidationError, csv_chunks, read_json
 
 from test_fuzz_cli import COUNTERS, HARDWARE, PROFILE, WORKLOAD
 
@@ -162,7 +162,7 @@ def test_bad_byte_after_a_bom_is_named_by_its_offset_in_the_file():
     data = codecs.BOM_UTF8 + b"kernel_name\xff\n"
     message = r"^f: not UTF-8 text \(invalid start byte at byte 14\)$"
     with pytest.raises(ValidationError, match=message):
-        utf8_text(data, "f")
+        read_json(io.BytesIO(data), "f", "counter file")
     with pytest.raises(ValidationError, match=message):
         next(csv_chunks(io.BytesIO(data), "f", "counter file"))
 

@@ -42,6 +42,31 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+def test_only_errors_decodes_input():
+    # One UTF-8 decoder and one JSON reader: no other module calls
+    # json.loads or a .decode, or imports codecs.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                found = node.attr == "decode" or (
+                    node.attr == "loads" and isinstance(node.value, ast.Name)
+                    and node.value.id == "json")
+            elif isinstance(node, ast.Import):
+                found = "codecs" in (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found = node.module == "codecs" or (
+                    node.module == "json"
+                    and "loads" in (alias.name for alias in node.names))
+            else:
+                continue
+            if found:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_roofcast_imports_only_the_standard_library():
     # Imports inside functions count too: a lazy import is still a
     # dependency of whoever reaches it.

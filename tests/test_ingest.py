@@ -17,8 +17,6 @@ from roofcast.errors import (
     ParseError,
     SchemaError,
     ValidationError,
-    parse_json,
-    utf8_text,
 )
 from roofcast import ingest
 from roofcast.ingest import (
@@ -193,7 +191,7 @@ def test_kernel_duration_must_be_finite_and_positive(duration):
 # The column reader against the row-by-row reference
 # ---------------------------------------------------------------------------
 
-CHUNK = ingest._CHUNK_ROWS
+CHUNK = CSV_CHUNK_ROWS
 PER_CYCLE_HEADER = ("kernel_name", "duration_ns", "dram_bytes", "l2_requests",
                     "int_ops_per_cycle", "cycles")
 
@@ -430,12 +428,12 @@ def random_profile(n: int, seed: int) -> QueryProfile:
         for i in range(n))
 
 
-def json_peaks(data: bytes, what: str, read) -> tuple[int, int, list]:
-    """The tracemalloc peaks of parse_json on data and of read(stream),
-    and the kernels read returns."""
+def json_peaks(data: bytes, read) -> tuple[int, int, list]:
+    """The tracemalloc peaks of json.loads on data, decoded whole, and of
+    read(stream), and the kernels read returns."""
     tracemalloc.start()
     try:
-        parse_json(utf8_text(data, "p"), "p", what)
+        json.loads(data.decode("utf-8"))
         _, parse_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         kernels = read(io.BytesIO(data))
@@ -450,8 +448,7 @@ def test_load_profile_peaks_below_its_json_parse():
     # so the peak is mostly the columns, not the text or a dict per kernel.
     data = write_profile_json(random_profile(4000, 5)).encode()
     parse_peak, load_peak, kernels = json_peaks(
-        data, "profile JSON",
-        lambda stream: load_profile("p", lambda path: stream).kernels)
+        data, lambda stream: load_profile("p", lambda path: stream).kernels)
     assert len(kernels) == 4000
     assert load_peak < 0.35 * parse_peak
 
@@ -478,8 +475,7 @@ def test_json_counter_parse_peaks_below_its_json_parse():
     data = json.dumps(rows).encode()
     del rows
     parse_peak, read_peak, kernels = json_peaks(
-        data, "JSON counter file",
-        lambda stream: parse_counter_file(stream, "json"))
+        data, lambda stream: parse_counter_file(stream, "json"))
     assert len(kernels) == 4000
     assert read_peak < 0.6 * parse_peak
 
