@@ -121,6 +121,11 @@ def test_parse_negative_counter_is_validation_error():
         parse_csv(text)
 
 
+def test_a_profile_of_plain_tuples_gets_the_record_checks():
+    with pytest.raises(ValidationError, match="duration must be finite"):
+        QueryProfile("q", "s", 1.0, [("k", -1.0, 1, 1, 1)])
+
+
 def test_parse_json_array():
     rows = [{"kernel_name": "k0", "duration_ns": 1000, "dram_bytes": 1,
              "l2_requests": 2, "int_ops": 3}]
