@@ -188,8 +188,8 @@ class JsonChunks:
     the document's other top-level members.
 
     The stream is read JSON_BLOCK bytes at a time through an incremental
-    UTF-8 decoder, and one leading byte order mark is dropped, as
-    _utf8_blocks drops it. A document that ends in its first block is decoded whole.
+    UTF-8 decoder, and one leading byte order mark is dropped (as in
+    _utf8_blocks). A document that ends in its first block is decoded whole.
     Otherwise all complete elements in the text held are decoded at once,
     up to its last "}": if that decode succeeds, the text was exactly those
     elements. If it fails (a "}" inside a string, say), the elements of that

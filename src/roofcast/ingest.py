@@ -140,9 +140,7 @@ class KernelColumns(Sequence):
     def __init__(self, records: Iterable[KernelRecord] = ()):
         self._columns = [[], array("d"), array("q"), array("q"), array("q")]
         if records:
-            # A plain tuple gets KernelRecord's checks, which aggregate needs.
-            self._extend(zip(*(r if type(r) is KernelRecord else KernelRecord(*r)
-                               for r in records)), checked=False)
+            self._extend(zip(*map(KernelRecord._make, records)), checked=False)
 
     def _extend(self, columns: Iterable[Sequence], checked: bool = True) -> None:
         """Append rows given as their five columns. checked: the durations

@@ -42,9 +42,12 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == []
 
 
+_JSON_READERS = {"load", "loads"}
+
+
 def test_only_errors_decodes_input():
     # One UTF-8 decoder and one JSON reader: no other module calls
-    # json.loads or a .decode, or imports codecs.
+    # json.load, json.loads or a .decode, or imports codecs.
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "errors.py":
@@ -52,14 +55,16 @@ def test_only_errors_decodes_input():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute):
                 found = node.attr == "decode" or (
-                    node.attr == "loads" and isinstance(node.value, ast.Name)
+                    node.attr in _JSON_READERS
+                    and isinstance(node.value, ast.Name)
                     and node.value.id == "json")
             elif isinstance(node, ast.Import):
                 found = "codecs" in (alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
                 found = node.module == "codecs" or (
                     node.module == "json"
-                    and "loads" in (alias.name for alias in node.names))
+                    and any(alias.name in _JSON_READERS
+                            for alias in node.names))
             else:
                 continue
             if found:
